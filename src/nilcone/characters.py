@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import cache
 from .errors import DomainError
-from .roots import RootDatum, _vec_add, _vec_sub, _vec_scale
+from .roots import _vec_add, _vec_sub
 
 # per-datum memo tables; pure caches (results identical with or without)
 _MULT_CACHE = {}
@@ -130,10 +130,6 @@ def irreducible_character(datum, lam):
     assert sum(char.values()) == weyl_dimension(datum, lam)
     _CHAR_CACHE[key] = dict(char)
     return char
-
-
-def character_dimension(char):
-    return sum(char.values())
 
 
 def multiply_characters(a, b):

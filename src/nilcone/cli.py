@@ -39,7 +39,10 @@ def _parse_subset(text):
     text = text.strip()
     if not text:
         return ()
-    return tuple(int(t) for t in text.split(","))
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise DomainError("subset must be comma-separated integers, got %r" % text)
 
 
 def _poly_json(poly):
@@ -128,7 +131,10 @@ def _parse_free_object(datum, text):
             continue
         if "@" in part:
             wtext, dtext = part.split("@", 1)
-            degree = int(dtext)
+            try:
+                degree = int(dtext)
+            except ValueError:
+                raise DomainError("degree must be an integer, got %r" % dtext)
         else:
             wtext, degree = part, 0
         summands.append((_parse_weight(datum, wtext), degree))
@@ -177,8 +183,12 @@ def cmd_sl2_table(args):
     kind = _SL2_KINDS.get(args.object, args.object)
     if kind not in ("standard", "costandard", "projective"):
         raise DomainError("unknown object kind %r" % args.object)
-    labels = [int(t) for t in args.labels.split(",")] if args.labels else \
-        list(range(-8, 10, 2))
+    try:
+        labels = [int(t) for t in args.labels.split(",")] if args.labels else \
+            list(range(-8, 10, 2))
+    except ValueError:
+        raise DomainError("labels must be comma-separated integers, got %r"
+                          % args.labels)
     rows = sl2.table_rows((kind,), labels)
     payload = [list(r) for r in rows]
     tsv = "\n".join("%s\t%d\t%d\t%d\t%d" % r for r in rows)
@@ -186,7 +196,10 @@ def cmd_sl2_table(args):
 
 
 def cmd_sl2_profile(args):
-    lo, hi = (int(t) for t in args.window.split(":"))
+    try:
+        lo, hi = (int(t) for t in args.window.split(":"))
+    except ValueError:
+        raise DomainError("window must be lo:hi, got %r" % args.window)
     profiles = sl2.hom_complex_profile(args.k, (lo, hi))
     payload = {str(i): {str(n): d for n, d in sorted(profiles[i].items())}
                for i in sorted(profiles)}

@@ -26,9 +26,9 @@ from .roots import _vec_sub
 from .characters import (tensor_decompose, dual_weight, restrict_to_levi,
                          _require_dominant)
 from .qanalog import graded_mult_in_nilcone
-from .reps import (build_irrep, centralizer_and_exponents, op_apply, op_add,
-                   op_compose, _strip_column, int_columns_rank,
-                   DEFAULT_DIM_CAP)
+from .reps import (build_irrep, centralizer_and_exponents, op_add,
+                   op_compose, op_equal, _op_norm, _strip_column,
+                   int_columns_rank, DEFAULT_DIM_CAP)
 
 
 def free_object(summands):
@@ -151,7 +151,7 @@ def _slice_pair(datum, lam, mu, elements, dim_cap):
                         eq = eq_index.setdefault((xi, t, s2), len(eq_index))
                         col[eq] = col.get(eq, Fraction(0)) - v
             columns.append(_strip_column(col))
-        rank = int_columns_rank([c for c in columns if c])
+        rank = int_columns_rank(columns)
         dim = len(cells) - rank
         if dim:
             out.append((w, dim))
@@ -235,11 +235,15 @@ class HomElement:
         self.datum = datum
         self.source = source
         self.target = target
-        self.blocks = {k: v for k, v in blocks.items() if v}
+        self.blocks = {}
+        for k, mat in blocks.items():
+            mat = _op_norm(mat)
+            if mat:
+                self.blocks[k] = mat
 
     def __eq__(self, other):
         return (self.source == other.source and self.target == other.target
-                and _normalized(self.blocks) == _normalized(other.blocks))
+                and self.blocks == other.blocks)
 
     def degree_of(self):
         """(internal shift, geometric degree) if homogeneous, else None."""
@@ -257,16 +261,6 @@ class HomElement:
         if len(degs) == 1:
             return degs.pop()
         return None
-
-
-def _normalized(blocks):
-    out = {}
-    for k, mat in blocks.items():
-        m = {c: {r: v for r, v in col.items() if v} for c, col in mat.items()}
-        m = {c: col for c, col in m.items() if col}
-        if m:
-            out[k] = m
-    return out
 
 
 def identity_hom(datum, obj):
@@ -309,6 +303,6 @@ def hom_element_is_equivariant(f):
             b = el.realize(rep_t)
             lhs = op_compose(b, mat)
             rhs = op_compose(mat, a)
-            if _normalized({0: lhs}) != _normalized({0: rhs}):
+            if not op_equal(lhs, rhs):
                 return False
     return True

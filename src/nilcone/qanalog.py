@@ -13,7 +13,7 @@ from . import cache
 from .errors import DomainError
 from .qpoly import QPoly, product_truncated, geometric_series
 from .roots import _vec_sub
-from .characters import weyl_dimension, weight_multiplicity, _require_dominant
+from .characters import weyl_dimension, _require_dominant
 
 _KOSTANT_CACHE = {}
 

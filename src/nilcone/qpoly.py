@@ -173,8 +173,3 @@ def product_truncated(factors, n):
     for f in factors:
         acc = (acc * f).truncated(n)
     return acc
-
-
-def inverse_one_minus(step, n):
-    """Truncation of 1/(1 - q^step) at exponent n (step >= 1)."""
-    return geometric_series(step, n)

@@ -4,9 +4,12 @@ Modules are built by closing a highest-weight vector under the lowering
 operators, pruning the maximal submodule with the contravariant form: a
 monomial f-word enters the basis only if it enlarges the rank of the Gram
 matrix at its weight, and the form is positive definite on a true basis, so
-ranks decide membership exactly.  All arithmetic is over Fraction.
+ranks decide membership exactly.  Operator entries are Fractions; the
+linear algebra (Gram solves, ranks, the centralizer kernel) goes through one
+fraction-free integer elimination, :func:`_eliminate`.
 
-Operators are stored sparsely as {column: {row: value}}.
+Operators are stored sparsely as {column: {row: value}}, with Fraction or
+int values.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ def op_apply(op, vec):
         if not col:
             continue
         for r, a in col.items():
-            s = out.get(r, Fraction(0)) + a * x
+            s = out.get(r, 0) + a * x
             if s:
                 out[r] = s
             else:
@@ -66,12 +69,6 @@ def op_compose(a, b):
     return out
 
 
-def op_scale(op, coeff):
-    if not coeff:
-        return {}
-    return {c: {r: coeff * v for r, v in col.items()} for c, col in op.items()}
-
-
 def op_equal(a, b):
     return _op_norm(a) == _op_norm(b)
 
@@ -87,69 +84,80 @@ def op_commutator(a, b):
 
 def _strip_column(col):
     """Rescale a rational column to a primitive integer one (rank-safe)."""
-    if not col:
-        return {}
     denom = 1
     for v in col.values():
         denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = {r: int(v * denom) for r, v in col.items()}
+    ints = {r: v.numerator * (denom // v.denominator) for r, v in col.items()
+            if v}
     g = 0
     for v in ints.values():
-        g = gcd(g, abs(v))
+        g = gcd(g, v)
+        if g == 1:
+            return ints
     if g > 1:
         ints = {r: v // g for r, v in ints.items()}
     return ints
 
 
-def int_columns_rank(columns):
-    """Rank of a list of integer sparse columns, by exact elimination."""
+def _eliminate(columns, nrows=None):
+    """Fraction-free elimination of sparse columns; returns (rank, kernel).
+
+    Columns are reduced in order against the pivots of the earlier ones:
+    a column whose smallest row holds no pivot yet becomes that row's pivot,
+    otherwise an integer combination with the pivot clears the row and the
+    result is divided by its content.  Entries stay integers, and the
+    content division keeps them small where Bareiss's fraction-free
+    elimination (Math. Comp. 22, 1968) divides by the previous pivot.
+
+    Without nrows the columns must be integer and only the rank is kept.
+    With nrows, rational columns over range(nrows) are made primitive and
+    column j carries a marker 1 at row nrows + j; a column that reduces to
+    zero above the markers leaves its marker part, a kernel vector of ints,
+    and these vectors form a kernel basis.
+    """
+    ncols = len(columns)
+    if nrows is not None:
+        columns = [_strip_column({**col, nrows + j: 1})
+                   for j, col in enumerate(columns)]
     pivots = {}  # pivot row -> reduced column
-    rank = 0
+    kernel = []
     for col in columns:
-        col = dict(col)
         while col:
             r = min(col)
-            if r not in pivots:
-                pivots[r] = col
-                rank += 1
+            if nrows is not None and r >= nrows:
+                kernel.append([col.get(nrows + j, 0) for j in range(ncols)])
                 break
-            piv = pivots[r]
+            piv = pivots.get(r)
+            if piv is None:
+                pivots[r] = col
+                break
             a, b = piv[r], col[r]
             g = gcd(a, b)
             ca, cb = b // g, a // g
             new = {}
-            for k in set(col) | set(piv):
+            for k in col.keys() | piv.keys():
                 v = cb * col.get(k, 0) - ca * piv.get(k, 0)
                 if v:
                     new[k] = v
-            g2 = 0
-            for v in new.values():
-                g2 = gcd(g2, abs(v))
-            if g2 > 1:
-                new = {k: v // g2 for k, v in new.items()}
-            col = new
-    return rank
+            col = _strip_column(new)
+    return len(pivots), kernel
+
+
+def int_columns_rank(columns):
+    """Rank of a list of integer sparse columns, by exact elimination."""
+    return _eliminate(columns)[0]
 
 
 def fraction_solve(matrix, rhs):
-    """Solve the invertible square system matrix * x = rhs over Fraction."""
+    """Solve the invertible square system matrix * x = rhs exactly."""
     n = len(matrix)
-    aug = [list(map(Fraction, matrix[i])) + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col]:
-                piv = r
-                break
-        assert piv is not None, "singular Gram matrix"
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [a * inv for a in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+    columns = [{r: matrix[r][j] for r in range(n) if matrix[r][j]}
+               for j in range(n)]
+    columns.append({r: -rhs[r] for r in range(n) if rhs[r]})
+    # the kernel of [matrix | -rhs] is spanned by (x, 1)
+    rank, kernel = _eliminate(columns, n)
+    assert rank == n and kernel[0][n], "singular Gram matrix"
+    return [Fraction(x, kernel[0][n]) for x in kernel[0][:n]]
 
 
 # -- the representation object ------------------------------------------------
@@ -241,13 +249,13 @@ def build_irrep(datum, lam, dim_cap=DEFAULT_DIM_CAP):
     """Construct the irreducible module with highest weight lam."""
     _require_dominant(datum, lam)
     lam = tuple(lam)
-    key = (datum.name, lam)
-    if key in _REP_CACHE:
-        return _REP_CACHE[key]
     dim = weyl_dimension(datum, lam)
     if dim > dim_cap:
         raise ResourceError(
             "dim V_%r = %d exceeds the cap %d" % (lam, dim, dim_cap))
+    key = (datum.name, lam)
+    if key in _REP_CACHE:
+        return _REP_CACHE[key]
 
     char = irreducible_character(datum, lam)
     rank = datum.rank
@@ -495,7 +503,7 @@ def centralizer_and_exponents(datum):
                 for r, v in colv.items():
                     col[cell_index[(c, r)]] = v
             cols.append(col)
-        for coeffs in _fraction_kernel(cols, rows):
+        for coeffs in _eliminate(cols, rows)[1]:
             elements.append(CentralizerElement(deg, group, coeffs))
 
     elements.sort(key=lambda el: el.degree)
@@ -507,43 +515,6 @@ def centralizer_and_exponents(datum):
     result = (elements, exponents)
     _CENTRALIZER_CACHE[datum.name] = result
     return result
-
-
-def _fraction_kernel(columns, nrows):
-    """Kernel basis of the matrix with the given sparse Fraction columns."""
-    ncols = len(columns)
-    dense = [[Fraction(0)] * ncols for _ in range(nrows)]
-    for j, col in enumerate(columns):
-        for r, v in col.items():
-            dense[r][j] = v
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, nrows):
-            if dense[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        dense[row], dense[piv] = dense[piv], dense[row]
-        inv = Fraction(1) / dense[row][col]
-        dense[row] = [a * inv for a in dense[row]]
-        for r in range(nrows):
-            if r != row and dense[r][col]:
-                f = dense[r][col]
-                dense[r] = [a - f * b for a, b in zip(dense[r], dense[row])]
-        pivots.append(col)
-        row += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -dense[r][fc]
-        basis.append(vec)
-    return basis
 
 
 # -- the kernel filtration -----------------------------------------------------
@@ -584,41 +555,15 @@ def integer_principal_e(rep, coefficients=None):
         cache = rep._int_e_cache = {}
     if key in cache:
         return cache[key]
-    e = principal_e(rep, coefficients)
-    denom = 1
-    for col in e.values():
-        for v in col.values():
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-    out = {c: {r: int(v * denom) for r, v in col.items()}
-           for c, col in e.items()}
+    # one common factor for every entry, so the powers keep their kernels
+    flat = _strip_column({(c, r): v
+                          for c, col in principal_e(rep, coefficients).items()
+                          for r, v in col.items()})
+    out = {}
+    for (c, r), v in flat.items():
+        out.setdefault(c, {})[r] = v
     cache[key] = out
     return out
-
-
-def _int_apply(op, vec):
-    out = {}
-    for c, x in vec.items():
-        col = op.get(c)
-        if not col:
-            continue
-        for r, a in col.items():
-            s = out.get(r, 0) + a * x
-            if s:
-                out[r] = s
-            else:
-                out.pop(r, None)
-    return out
-
-
-def _strip_int_column(col):
-    g = 0
-    for v in col.values():
-        g = gcd(g, abs(v))
-        if g == 1:
-            return col
-    if g > 1:
-        return {r: v // g for r, v in col.items()}
-    return col
 
 
 def bk_filtration(rep, lam, coefficients=None):
@@ -633,7 +578,7 @@ def bk_filtration(rep, lam, coefficients=None):
     dims = {}
     i = 0
     while True:
-        nxt = [_strip_int_column(_int_apply(e, col)) for col in current]
+        nxt = [_strip_column(op_apply(e, col)) for col in current]
         live = [c for c in nxt if c]
         rank = int_columns_rank(live) if live else 0
         dims[i] = m - rank

@@ -52,7 +52,6 @@ def _mat_vec(m, v):
 
 
 def _mat_mul(a, b):
-    n = len(b)
     cols = list(zip(*b))
     return tuple(tuple(_dot(row, col) for col in cols) for row in a)
 
@@ -108,8 +107,13 @@ class PositiveRoot:
 class RootDatum:
     """Root datum of one preset (or of a Levi subgroup of one).
 
-    Everything is computed once in __init__ and never mutated, so instances
-    are safe to share between threads.
+    __init__ precomputes the simple roots and coroots, the positive roots,
+    rho and 2rho-check, and the integer adjugate and determinant of the
+    simple-root matrix (and of the Cartan matrix in the root basis), so
+    root_coordinates and weight_from_pairing are integer mat-vecs; a Levi
+    datum reads root coordinates off its parent.  The Weyl group and the
+    Levi sub-data are filled in lazily on first use, idempotently, and
+    never change afterwards.
     """
 
     def __init__(self, name, cartan, symmetrizers, lattice_kind, basis,
@@ -143,14 +147,19 @@ class RootDatum:
                 self.simple_coroots = tuple(
                     tuple(self.cartan[i][j] for j in range(self.rank))
                     for i in range(self.rank))
+            # x = adj * v / det solves (simple-root matrix) x = v
+            self._root_inverse = _adjugate(tuple(zip(*self.simple_roots)))
         else:
             self.simple_roots = tuple(parent.simple_roots[i] for i in self.simple_indices)
             self.simple_coroots = tuple(parent.simple_coroots[i] for i in self.simple_indices)
+            self._outside = tuple(i for i in range(parent.rank)
+                                  if i not in self.simple_indices)
+        if basis == "root":
+            self._cartan_inverse = _adjugate(self.cartan)
 
         self._positive_roots = None
         self._weyl = None
         self._levi_cache = {}
-        self._root_coords_cache = {}
         self._build_static()
 
     # -- construction helpers -------------------------------------------
@@ -245,23 +254,20 @@ class RootDatum:
 
     def root_coordinates(self, vector):
         """Integer coords of vector over the simple roots, or None."""
-        vector = tuple(vector)
-        if vector in self._root_coords_cache:
-            return self._root_coords_cache[vector]
-        sol = _solve_columns([list(a) for a in self.simple_roots], list(vector))
-        out = None
-        if sol is not None:
-            coords = []
-            for x in sol:
-                if x.denominator != 1:
-                    coords = None
-                    break
-                coords.append(int(x))
-            if coords is not None:
-                out = tuple(coords)
-        if all(isinstance(c, int) for c in vector):
-            self._root_coords_cache[vector] = out
-        return out
+        if self.parent is not None:
+            # the simple roots are independent: a Levi vector has the
+            # parent's coordinates, supported on the Levi's simple roots
+            coords = self.parent.root_coordinates(vector)
+            if coords is None or any(coords[i] for i in self._outside):
+                return None
+            return tuple(coords[i] for i in self.simple_indices)
+        # the simple roots are integral, so lattice vectors are too
+        ints = []
+        for x in vector:
+            if x.denominator != 1:
+                return None
+            ints.append(x.numerator)
+        return _integral_solution(self._root_inverse, ints)
 
     def dominant_representative(self, weight):
         """The dominant Weyl conjugate, by repeated simple reflections."""
@@ -381,19 +387,13 @@ class RootDatum:
         if self.basis == "fundamental":
             return tuple(int(c) for c in coords)
         # root basis: solve sum_j x_j <alpha_j, alpha_i-check> = c_i
-        cols = [[self.cartan[i][j] for i in range(self.rank)] for j in range(self.rank)]
-        sol = _solve_columns(cols, coords)
-        if sol is None:
-            raise DomainError("coordinates not consistent")
-        out = []
-        for x in sol:
-            if x.denominator != 1:
-                raise DomainError(
-                    "weight not in the %s lattice (root-lattice membership "
-                    "fails; for adjoint presets only root-lattice weights "
-                    "exist, e.g. even labels for A1-adj)" % self.lattice_kind)
-            out.append(int(x))
-        return tuple(out)
+        out = _integral_solution(self._cartan_inverse, coords)
+        if out is None:
+            raise DomainError(
+                "weight not in the %s lattice (root-lattice membership "
+                "fails; for adjoint presets only root-lattice weights "
+                "exist, e.g. even labels for A1-adj)" % self.lattice_kind)
+        return out
 
     # -- Levi subdata ------------------------------------------------------
 
@@ -443,41 +443,28 @@ def _det(mat):
     return det
 
 
-def _solve_columns(columns, target):
-    """Solve sum_j x_j * columns[j] = target exactly; None if inconsistent."""
-    ncols = len(columns)
-    nrows = len(target)
-    aug = [[Fraction(columns[j][r]) for j in range(ncols)] + [Fraction(target[r])]
-           for r in range(nrows)]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, nrows):
-            if aug[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = Fraction(1) / aug[row][col]
-        aug[row] = [a * inv for a in aug[row]]
-        for r in range(nrows):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    # consistency
-    for r in range(row, nrows):
-        if aug[r][ncols]:
+def _adjugate(mat):
+    """(adjugate, determinant) of a square integer matrix, from cofactors."""
+    n = len(mat)
+
+    def cofactor(i, j):
+        minor = [row[:j] + row[j + 1:] for k, row in enumerate(mat) if k != i]
+        return (-1) ** (i + j) * int(_det(minor))
+    adj = tuple(tuple(cofactor(j, i) for j in range(n)) for i in range(n))
+    return adj, int(_det(mat))
+
+
+def _integral_solution(inverse, v):
+    """The integer x with mat * x = v, for inverse = _adjugate(mat); None
+    when x is not integral."""
+    adj, det = inverse
+    out = []
+    for row in adj:
+        s = _dot(row, v)
+        if s % det:
             return None
-    sol = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][ncols]
-    return sol
+        out.append(s // det)
+    return tuple(out)
 
 
 _DATUM_CACHE = {}

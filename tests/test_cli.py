@@ -63,6 +63,19 @@ def test_domain_error_exit_code(capsys):
     assert "lattice" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["branch", "--preset", "A2-sc", "--subset", "x", "--weight", "1,0"],
+    ["sl2-table", "--object", "delta", "--labels", "a"],
+    ["sl2-profile", "--k", "2", "--window=3"],
+    ["hom", "--preset", "A2-sc", "--source", "1,0@x", "--target", "1,0"],
+])
+def test_malformed_argument_is_one_domain_error(capsys, argv):
+    code, out, err = _capture(capsys, argv)
+    assert code == 1 and not out
+    assert err.startswith("error\tdomain\t")
+    assert err.count("\n") == 1
+
+
 def test_resource_error_exit_code(capsys):
     code, _, err = _capture(capsys, ["bk-verify", "--preset", "A1-sc",
                                      "--nu", "900", "--lambda", "0"])

@@ -1,6 +1,8 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nilcone.errors import DomainError, ResourceError
 from nilcone.qpoly import QPoly
@@ -10,7 +12,8 @@ from nilcone.reps import (build_irrep, principal_e, centralizer_and_exponents,
                           bk_filtration, bk_profile_all_weights,
                           verify_theorem_filtrations, poincare_gr,
                           op_compose, op_apply, op_commutator, op_equal,
-                          integer_principal_e)
+                          integer_principal_e, fraction_solve,
+                          int_columns_rank, _eliminate)
 from nilcone.qanalog import p_bk_polynomial
 
 
@@ -63,6 +66,12 @@ def test_dimension_cap(a1):
         build_irrep(a1, (500,))
     rep = build_irrep(a1, (10,), dim_cap=11)
     assert rep.dim == 11
+
+
+def test_dimension_cap_holds_for_cached_modules(a2):
+    assert build_irrep(a2, (2, 2)).dim == 27
+    with pytest.raises(ResourceError):
+        build_irrep(a2, (2, 2), dim_cap=10)
 
 
 def test_principal_e_regular_rank_profile(a2):
@@ -191,3 +200,127 @@ def test_weight_space_dims_match_freudenthal(g2):
     for w, idxs in rep.weight_spaces.items():
         assert len(idxs) == char[w]
     assert rep.dim == weyl_dimension(g2, (0, 1)) == 7
+
+
+# -- the elimination routine against a plain Fraction Gauss-Jordan ------------
+
+def _gauss_jordan(rows, ncols):
+    """Reduced row echelon form over Fraction: (nonzero rows, pivot columns)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def _reference_kernel(rows, ncols):
+    rref, pivots = _gauss_jordan(rows, ncols)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, pc in zip(rref, pivots):
+            vec[pc] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def _sparse_columns(rows, ncols):
+    return [{r: row[j] for r, row in enumerate(rows) if row[j]}
+            for j in range(ncols)]
+
+
+_entries = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def _matrices(draw, entries):
+    """Small matrices whose later columns often repeat combinations of
+    earlier ones, so rank deficiency is common."""
+    nrows = draw(st.integers(1, 5))
+    ncols = draw(st.integers(1, 6))
+    cols = []
+    for _ in range(ncols):
+        if cols and draw(st.booleans()):
+            a, b = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
+            c = draw(entries)
+            cols.append([x + c * y for x, y in zip(a, b)])
+        else:
+            cols.append(draw(st.lists(entries, min_size=nrows,
+                                      max_size=nrows)))
+    return [list(row) for row in zip(*cols)], ncols
+
+
+_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                     database=None)
+
+
+@_SETTINGS
+@given(_matrices(st.integers(-4, 4)))
+def test_int_columns_rank_matches_reference(matrix):
+    rows, ncols = matrix
+    columns = [c for c in _sparse_columns(rows, ncols) if c]
+    assert int_columns_rank(columns) == len(_gauss_jordan(rows, ncols)[1])
+
+
+@_SETTINGS
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n,
+             max_size=n),
+    st.lists(_entries, min_size=n, max_size=n))))
+def test_fraction_solve_matches_reference(system):
+    matrix, rhs = system
+    n = len(matrix)
+    rref, pivots = _gauss_jordan([row + [b] for row, b in zip(matrix, rhs)],
+                                 n)
+    assume(len(pivots) == n)
+    assert fraction_solve(matrix, rhs) == [row[n] for row in rref]
+
+
+@_SETTINGS
+@given(_matrices(_entries))
+def test_kernel_matches_reference(matrix):
+    """The centralizer's kernel: a basis of the reference kernel's span."""
+    rows, ncols = matrix
+    rank, kernel = _eliminate(_sparse_columns(rows, ncols), len(rows))
+    reference = _reference_kernel(rows, ncols)
+    assert rank == ncols - len(reference)
+    assert len(kernel) == len(reference)
+    for vec in kernel:
+        assert all(isinstance(x, int) for x in vec)
+        assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
+    if kernel:
+        assert len(_gauss_jordan(kernel, ncols)[1]) == len(kernel)
+        assert len(_gauss_jordan(kernel + reference, ncols)[1]) == len(kernel)
+
+
+def test_route_sides_bind_no_foreign_elimination():
+    """The q-analog side must not call the elimination it is checked by,
+    and the module side must not call the root-coordinate kernel."""
+    import nilcone.characters
+    import nilcone.homspaces
+    import nilcone.qanalog
+    import nilcone.reps
+    import nilcone.roots
+    reps_side = (fraction_solve, int_columns_rank, _eliminate)
+    roots_side = (nilcone.roots._det, nilcone.roots._adjugate)
+    for module, foreign in ((nilcone.roots, reps_side),
+                            (nilcone.characters, reps_side),
+                            (nilcone.qanalog, reps_side),
+                            (nilcone.reps, roots_side),
+                            (nilcone.homspaces, roots_side)):
+        bound = [name for name, value in vars(module).items()
+                 if any(value is fn for fn in foreign)]
+        assert not bound, (module.__name__, bound)

@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilcone.errors import ConfigurationError, DomainError
 from nilcone.roots import build_datum, supported_presets
@@ -125,3 +128,40 @@ def test_height_function(a2, b2):
     assert b2.height(b2.highest_root().weight) == 3
     with pytest.raises(DomainError):
         a2.levi((0,)).height((0, 1))  # not in the Levi root span
+
+
+def _combination(datum, coords):
+    return tuple(sum(c * root[k] for c, root in zip(coords, datum.simple_roots))
+                 for k in range(datum.weight_dim))
+
+
+def _lattice_form(vector):
+    """Fractions with denominator 1 as ints, so the integer path is taken."""
+    return tuple(int(x) if x.denominator == 1 else x for x in vector)
+
+
+@pytest.mark.parametrize("preset", sorted(EXPECTED))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(coords=st.lists(st.integers(-20, 20), min_size=3, max_size=3),
+       denom=st.integers(2, 6), k=st.integers(0, 2))
+def test_root_coordinates_round_trip(preset, coords, denom, k):
+    datum = build_datum(preset)
+    coords = tuple(coords[:datum.rank])
+    k %= datum.rank
+    vector = _combination(datum, coords)
+    assert datum.root_coordinates(vector) == coords
+    assert datum.height(vector) == sum(coords)
+    # a non-integral coefficient leaves the root lattice, whether or not
+    # the vector's own entries are integers
+    off = tuple(Fraction(c) for c in coords)
+    off = off[:k] + (off[k] + Fraction(1, denom),) + off[k + 1:]
+    assert datum.root_coordinates(_lattice_form(_combination(datum, off))) is None
+    half = (vector[0] + Fraction(1, 2),) + vector[1:]
+    assert datum.root_coordinates(half) is None
+    # one Levi per preset: the first simple root
+    levi = datum.levi((0,))
+    inside = (coords[0],) + (0,) * (datum.rank - 1)
+    assert levi.root_coordinates(_combination(datum, inside)) == coords[:1]
+    if datum.rank > 1 and any(coords[1:]):
+        assert levi.root_coordinates(vector) is None
+    assert levi.root_coordinates(half) is None
