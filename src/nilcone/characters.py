@@ -80,13 +80,12 @@ def _mult_dominant(datum, lam, mu):
         _MULT_CACHE[key] = 0
         return 0
     # denominator |lam+rho|^2 - |mu+rho|^2 = B(lam+mu+2rho, lam-mu)
-    lam_mu_2rho = tuple(Fraction(a + b) + 2 * r
-                        for a, b, r in zip(lam, mu, datum.rho))
+    lam_mu_2rho = tuple(a + b + r for a, b, r in zip(lam, mu, datum.two_rho))
     denom = datum.inner_product_with_root_vector(lam_mu_2rho, diff)
     if denom == 0:
         _MULT_CACHE[key] = 0
         return 0
-    total = Fraction(0)
+    total = 0
     for root in datum.positive_roots():
         # lam - (mu + k*root) stays a nonnegative root combination
         remaining = diff
@@ -99,9 +98,8 @@ def _mult_dominant(datum, lam, mu):
             m = _mult_dominant(datum, lam, datum.dominant_representative(nu))
             if m:
                 total += m * datum.inner_product_with_root_vector(nu, root.root_coords)
-    value = 2 * total / denom
-    assert value.denominator == 1
-    value = int(value)
+    value, remainder = divmod(2 * total, denom)
+    assert remainder == 0
     _MULT_CACHE[key] = value
     return value
 

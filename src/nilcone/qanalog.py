@@ -7,8 +7,6 @@ conversions to even geometric degrees happen in the consumers, never here.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import cache
 from .errors import DomainError
 from .qpoly import QPoly, product_truncated, geometric_series
@@ -68,25 +66,15 @@ def lusztig_q_analog(datum, lam, mu):
     stored = cache.fetch(request)
     if stored is not None:
         return QPoly({e: int(c) for e, c in stored})
-    mu_rho = tuple(Fraction(a) + b for a, b in zip(mu, datum.rho))
     out = QPoly.zero()
     for w in datum.weyl_elements():
-        lam_rho = tuple(Fraction(a) + b for a, b in zip(lam, datum.rho))
-        arg = tuple(a - b for a, b in zip(w.apply(lam_rho), mu_rho))
+        # w(lam + rho) - (mu + rho) = w(lam) - mu + (w(rho) - rho)
+        arg = tuple(a - b + s
+                    for a, b, s in zip(w.apply(lam), mu, w.rho_shift))
         coords = datum.root_coordinates(arg)
-        if coords is None:
+        if coords is None or any(c < 0 for c in coords):
             continue
-        ok = True
-        icoords = []
-        for c in coords:
-            c = Fraction(c)
-            if c.denominator != 1 or c < 0:
-                ok = False
-                break
-            icoords.append(int(c))
-        if not ok:
-            continue
-        term = _q_kostant_coords(datum, tuple(icoords))
+        term = _q_kostant_coords(datum, coords)
         out = out + (term if w.sign > 0 else -term)
     cache.store(request, out.to_json())
     return out
@@ -103,7 +91,7 @@ def p_bk_polynomial(datum, nu, lam):
     w, lam_dom = datum.dominant_conjugate(tuple(lam))
     shift_vec = _vec_sub(lam_dom, tuple(lam))
     shift = datum.height(shift_vec)
-    assert shift == Fraction(datum.pair_2rho_check(shift_vec), 2)
+    assert 2 * shift == datum.pair_2rho_check(shift_vec)
     return lusztig_q_analog(datum, nu, lam_dom).shifted(shift)
 
 

@@ -110,21 +110,12 @@ class QPoly:
             return None
         return min(self.coeffs)
 
-    def max_exponent(self):
-        if not self.coeffs:
-            return None
-        return max(self.coeffs)
-
     def truncated(self, n):
         """Drop all terms of exponent > n."""
         return QPoly({e: c for e, c in self.coeffs.items() if e <= n})
 
     def nonnegative(self):
         return all(c >= 0 for c in self.coeffs.values())
-
-    def substitute_power(self, k):
-        """q -> q^k (used to pass between half- and full-degree gradings)."""
-        return QPoly({e * k: c for e, c in self.coeffs.items()})
 
     def pairs(self):
         """Sorted (exponent, coefficient) list, the serialization form."""

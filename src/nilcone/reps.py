@@ -5,8 +5,13 @@ operators, pruning the maximal submodule with the contravariant form: a
 monomial f-word enters the basis only if it enlarges the rank of the Gram
 matrix at its weight, and the form is positive definite on a true basis, so
 ranks decide membership exactly.  Operator entries are Fractions; the
-linear algebra (Gram solves, ranks, the centralizer kernel) goes through one
-fraction-free integer elimination, :func:`_eliminate`.
+linear algebra (Gram solves, ranks, the centralizer kernel, the kernel
+filtration rows) goes through one fraction-free integer elimination,
+:func:`_eliminate`.
+
+Kernel filtrations of the principal nilpotent e come from one top-down pass
+over the principal-degree layers (:func:`_layer_rows`), whose labelled rows
+bk_filtration restricts to a weight space, one rank per label.
 
 Operators are stored sparsely as {column: {row: value}}, with Fraction or
 int values.
@@ -100,7 +105,7 @@ def _strip_column(col):
 
 
 def _eliminate(columns, nrows=None):
-    """Fraction-free elimination of sparse columns; returns (rank, kernel).
+    """Fraction-free elimination of sparse columns; returns (kept, kernel).
 
     Columns are reduced in order against the pivots of the earlier ones:
     a column whose smallest row holds no pivot yet becomes that row's pivot,
@@ -108,6 +113,9 @@ def _eliminate(columns, nrows=None):
     result is divided by its content.  Entries stay integers, and the
     content division keeps them small where Bareiss's fraction-free
     elimination (Math. Comp. 22, 1968) divides by the previous pivot.
+    kept maps the index of each column that became a pivot to its reduced
+    form, so the rank is len(kept) and, for every j, the reduced columns
+    kept from columns[:j + 1] span what columns[:j + 1] span.
 
     Without nrows the columns must be integer and only the rank is kept.
     With nrows, rational columns over range(nrows) are made primitive and
@@ -120,8 +128,9 @@ def _eliminate(columns, nrows=None):
         columns = [_strip_column({**col, nrows + j: 1})
                    for j, col in enumerate(columns)]
     pivots = {}  # pivot row -> reduced column
+    kept = {}
     kernel = []
-    for col in columns:
+    for j, col in enumerate(columns):
         while col:
             r = min(col)
             if nrows is not None and r >= nrows:
@@ -129,7 +138,7 @@ def _eliminate(columns, nrows=None):
                 break
             piv = pivots.get(r)
             if piv is None:
-                pivots[r] = col
+                pivots[r] = kept[j] = col
                 break
             a, b = piv[r], col[r]
             g = gcd(a, b)
@@ -140,12 +149,12 @@ def _eliminate(columns, nrows=None):
                 if v:
                     new[k] = v
             col = _strip_column(new)
-    return len(pivots), kernel
+    return kept, kernel
 
 
 def int_columns_rank(columns):
     """Rank of a list of integer sparse columns, by exact elimination."""
-    return _eliminate(columns)[0]
+    return len(_eliminate(columns)[0])
 
 
 def fraction_solve(matrix, rhs):
@@ -155,8 +164,8 @@ def fraction_solve(matrix, rhs):
                for j in range(n)]
     columns.append({r: -rhs[r] for r in range(n) if rhs[r]})
     # the kernel of [matrix | -rhs] is spanned by (x, 1)
-    rank, kernel = _eliminate(columns, n)
-    assert rank == n and kernel[0][n], "singular Gram matrix"
+    kept, kernel = _eliminate(columns, n)
+    assert len(kept) == n and kernel[0][n], "singular Gram matrix"
     return [Fraction(x, kernel[0][n]) for x in kernel[0][:n]]
 
 
@@ -184,9 +193,6 @@ class MatrixRep:
             if c:
                 out[idx] = {idx: Fraction(c)}
         return out
-
-    def weight_of(self, index):
-        return self.basis[index][0]
 
     def principal_degree(self, index):
         return self.datum.pair_2rho_check(self.basis[index][0])
@@ -566,26 +572,74 @@ def integer_principal_e(rep, coefficients=None):
     return out
 
 
+def _layer_rows(rep, coefficients=None):
+    """Labelled integer rows cutting out the kernels of the powers of e.
+
+    Layer d is the span of the basis vectors of principal degree d, and e
+    maps it to layer d + 2.  Each row is a linear functional on its layer
+    with a label L; the rows labelled L >= k cut out ker e^k on the layer.
+    Going down from the top layer, layer d gets r after e, labelled L + 1,
+    for each row r of layer d + 2, and the coordinate rows of e, labelled 1.
+    These are reduced in decreasing label order and the rows that reduce
+    to zero are dropped, which keeps the span of the rows labelled >= k
+    for every k.  Returns {d: [(label, row), ...]}, labels decreasing.
+    """
+    e = integer_principal_e(rep, coefficients)
+    # kept next to e, in the per-module cache integer_principal_e made
+    cache = rep._int_e_cache
+    key = ("layer rows",
+           tuple(coefficients) if coefficients is not None else None)
+    if key in cache:
+        return cache[key]
+    # e transposed: the coordinate row of each target basis vector
+    e_rows = {}
+    for c, col in e.items():
+        for r, v in col.items():
+            e_rows.setdefault(r, {})[c] = v
+    layers = {}
+    for w, idxs in rep.weight_spaces.items():
+        layers.setdefault(rep.datum.pair_2rho_check(w), []).extend(idxs)
+    out = {}
+    for d in sorted(layers, reverse=True):
+        rows = [(label + 1, _strip_column(op_apply(e_rows, row)))
+                for label, row in out.get(d + 2, ())]
+        rows = [(label, row) for label, row in rows if row]
+        rows += [(1, e_rows[j]) for j in layers.get(d + 2, ()) if j in e_rows]
+        kept, _ = _eliminate([row for _, row in rows])
+        out[d] = [(rows[j][0], row) for j, row in kept.items()]
+    cache[key] = out
+    return out
+
+
 def bk_filtration(rep, lam, coefficients=None):
-    """Filtration of the lam weight space by kernels of e powers."""
+    """Filtration of the lam weight space by kernels of e powers.
+
+    dims[i] is the dimension of ker e^(i+1) on V_lam, up to the first i
+    where that is all of V_lam.  With the rows of lam's layer
+    (_layer_rows) restricted to V_lam, dims[i] is dim V_lam minus the rank
+    of the rows labelled >= i + 1.  That rank changes only at the labels
+    present, so it is computed once per label and filled in between.
+    """
     lam = tuple(lam)
     cols = rep.weight_spaces.get(lam, [])
     m = len(cols)
     if m == 0:
         return FiltrationProfile(lam, {}, 0)
-    e = integer_principal_e(rep, coefficients)
-    current = [{idx: 1} for idx in cols]
+    layer = _layer_rows(rep, coefficients).get(
+        rep.datum.pair_2rho_check(lam), ())
+    rows = []  # (label, row restricted to V_lam)
+    for label, row in layer:
+        part = {c: row[c] for c in cols if c in row}
+        if part:
+            rows.append((label, part))
     dims = {}
-    i = 0
-    while True:
-        nxt = [_strip_column(op_apply(e, col)) for col in current]
-        live = [c for c in nxt if c]
-        rank = int_columns_rank(live) if live else 0
-        dims[i] = m - rank
-        if dims[i] == m:
-            break
-        current = nxt
-        i += 1
+    start = 0
+    for label in sorted({label for label, _ in rows}):
+        rank = int_columns_rank([row for lb, row in rows if lb >= label])
+        for i in range(start, label):
+            dims[i] = m - rank
+        start = label
+    dims[start] = m
     return FiltrationProfile(lam, dims, m)
 
 

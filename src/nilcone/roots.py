@@ -61,14 +61,15 @@ def _identity(n):
 
 
 class WeylElement:
-    """A Weyl group element: a reduced word plus its weight-lattice matrix."""
+    """A Weyl group element: a reduced word, its weight-lattice matrix and
+    the integer rho shift w(rho) - rho of the dot action."""
 
-    __slots__ = ("word", "matrix", "comatrix")
+    __slots__ = ("word", "matrix", "rho_shift")
 
-    def __init__(self, word, matrix, comatrix):
+    def __init__(self, word, matrix, rho_shift):
         self.word = word
-        self.matrix = matrix      # action on weights
-        self.comatrix = comatrix  # action on coweights
+        self.matrix = matrix  # action on weights
+        self.rho_shift = rho_shift
 
     @property
     def length(self):
@@ -80,9 +81,6 @@ class WeylElement:
 
     def apply(self, weight):
         return _mat_vec(self.matrix, weight)
-
-    def apply_coweight(self, coweight):
-        return _mat_vec(self.comatrix, coweight)
 
     def __repr__(self):
         return "WeylElement(%r)" % (self.word,)
@@ -147,6 +145,7 @@ class RootDatum:
                 self.simple_coroots = tuple(
                     tuple(self.cartan[i][j] for j in range(self.rank))
                     for i in range(self.rank))
+                self._cartan_inverse = _adjugate(self.cartan)
             # x = adj * v / det solves (simple-root matrix) x = v
             self._root_inverse = _adjugate(tuple(zip(*self.simple_roots)))
         else:
@@ -154,8 +153,6 @@ class RootDatum:
             self.simple_coroots = tuple(parent.simple_coroots[i] for i in self.simple_indices)
             self._outside = tuple(i for i in range(parent.rank)
                                   if i not in self.simple_indices)
-        if basis == "root":
-            self._cartan_inverse = _adjugate(self.cartan)
 
         self._positive_roots = None
         self._weyl = None
@@ -203,10 +200,6 @@ class RootDatum:
     def reflect(self, weight, i):
         c = self.simple_pairing(weight, i)
         return _vec_sub(weight, _vec_scale(c, self.simple_roots[i]))
-
-    def coreflect(self, coweight, i):
-        c = _dot(self.simple_roots[i], coweight)
-        return _vec_sub(coweight, _vec_scale(c, self.simple_coroots[i]))
 
     def is_dominant(self, weight):
         return all(self.simple_pairing(weight, i) >= 0 for i in range(self.rank))
@@ -312,7 +305,7 @@ class RootDatum:
 
     def inner_product_with_root_vector(self, weight, root_coords):
         """B(weight, v) for v = sum c_j alpha_j, via the symmetrizers."""
-        total = Fraction(0)
+        total = 0
         for j, c in enumerate(root_coords):
             if c:
                 total += c * self.symmetrizers[j] * _dot(weight, self.simple_coroots[j])
@@ -326,18 +319,19 @@ class RootDatum:
             return self._weyl
         n = self.weight_dim
         refl = []
-        corefl = []
         for i in range(self.rank):
             rows = []
-            corows = []
             for k in range(n):
                 basis = tuple(1 if t == k else 0 for t in range(n))
                 rows.append(self.reflect(basis, i))
-                corows.append(self.coreflect(basis, i))
             # rows computed columnwise: transpose to get matrices
             refl.append(tuple(zip(*rows)))
-            corefl.append(tuple(zip(*corows)))
-        ident = WeylElement((), _identity(n), _identity(n))
+
+        def element(word, matrix):
+            # w(rho) - rho = (w(2rho) - 2rho) / 2, a sum of negative roots
+            shift = _vec_sub(_mat_vec(matrix, self.two_rho), self.two_rho)
+            return WeylElement(word, matrix, tuple(c // 2 for c in shift))
+        ident = element((), _identity(n))
         elements = {ident.matrix: ident}
         frontier = [ident]
         while frontier:
@@ -346,8 +340,7 @@ class RootDatum:
                 for i in range(self.rank):
                     m = _mat_mul(refl[i], w.matrix)
                     if m not in elements:
-                        cm = _mat_mul(corefl[i], w.comatrix)
-                        el = WeylElement((i,) + w.word, m, cm)
+                        el = element((i,) + w.word, m)
                         elements[m] = el
                         nxt.append(el)
             frontier = nxt
@@ -380,7 +373,11 @@ class RootDatum:
         return tuple(self.simple_pairing(weight, i) for i in range(self.rank))
 
     def weight_from_pairing(self, coords):
-        """Inverse of pairing_coords; DomainError if not in the lattice."""
+        """Inverse of pairing_coords; DomainError if not in the lattice,
+        and on a Levi, whose rank-many pairings fix no weight."""
+        if self.parent is not None:
+            raise DomainError("pairing coordinates of the Levi %s do not "
+                              "determine a weight" % self.name)
         coords = list(coords)
         if len(coords) != self.rank:
             raise DomainError("expected %d coordinates" % self.rank)

@@ -13,8 +13,9 @@ from nilcone.reps import (build_irrep, principal_e, centralizer_and_exponents,
                           verify_theorem_filtrations, poincare_gr,
                           op_compose, op_apply, op_commutator, op_equal,
                           integer_principal_e, fraction_solve,
-                          int_columns_rank, _eliminate)
+                          int_columns_rank, _eliminate, _layer_rows)
 from nilcone.qanalog import p_bk_polynomial
+from conftest import dominant_weights_with_dim_cap
 
 
 def _nilpotency_index(op, dim):
@@ -276,6 +277,26 @@ def test_int_columns_rank_matches_reference(matrix):
 
 
 @_SETTINGS
+@given(_matrices(st.integers(-4, 4)))
+def test_kept_columns_span_each_prefix(matrix):
+    """The kernel filtration rows rely on this: for every j, the reduced
+    columns kept from the first j + 1 span what those columns span."""
+    rows, ncols = matrix
+    columns = [c for c in _sparse_columns(rows, ncols) if c]
+    kept = _eliminate(columns)[0]
+    nrows = len(rows)
+
+    def rank(cols):
+        return len(_gauss_jordan([[c.get(r, 0) for c in cols]
+                                  for r in range(nrows)], len(cols))[1])
+    for j in range(len(columns)):
+        prefix = columns[:j + 1]
+        reduced = [col for i, col in kept.items() if i <= j]
+        assert rank(reduced) == len(reduced) == rank(prefix)
+        assert rank(prefix + reduced) == rank(prefix)
+
+
+@_SETTINGS
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
     st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n,
              max_size=n),
@@ -294,9 +315,9 @@ def test_fraction_solve_matches_reference(system):
 def test_kernel_matches_reference(matrix):
     """The centralizer's kernel: a basis of the reference kernel's span."""
     rows, ncols = matrix
-    rank, kernel = _eliminate(_sparse_columns(rows, ncols), len(rows))
+    kept, kernel = _eliminate(_sparse_columns(rows, ncols), len(rows))
     reference = _reference_kernel(rows, ncols)
-    assert rank == ncols - len(reference)
+    assert len(kept) == ncols - len(reference)
     assert len(kernel) == len(reference)
     for vec in kernel:
         assert all(isinstance(x, int) for x in vec)
@@ -314,7 +335,8 @@ def test_route_sides_bind_no_foreign_elimination():
     import nilcone.qanalog
     import nilcone.reps
     import nilcone.roots
-    reps_side = (fraction_solve, int_columns_rank, _eliminate)
+    reps_side = (fraction_solve, int_columns_rank, _eliminate,
+                 bk_filtration, _layer_rows)
     roots_side = (nilcone.roots._det, nilcone.roots._adjugate)
     for module, foreign in ((nilcone.roots, reps_side),
                             (nilcone.characters, reps_side),
@@ -324,3 +346,60 @@ def test_route_sides_bind_no_foreign_elimination():
         bound = [name for name, value in vars(module).items()
                  if any(value is fn for fn in foreign)]
         assert not bound, (module.__name__, bound)
+
+
+# -- the kernel filtration against a naive walk of e^k ------------------------
+
+def _reference_filtration(rep, lam, coefficients=None):
+    """dims[i] = dim ker e^(i+1) on V_lam, from the Fraction operator e
+    applied i + 1 times to each basis vector of V_lam and the rank of the
+    images by Gauss-Jordan, up to the first i where the kernel is V_lam."""
+    e = principal_e(rep, coefficients)
+    images = [{c: Fraction(1)} for c in rep.weight_spaces.get(lam, [])]
+    m = len(images)
+    dims = {}
+    while m:
+        images = [op_apply(e, v) for v in images]
+        support = sorted({r for v in images for r in v})
+        rank = len(_gauss_jordan([[v.get(r, 0) for v in images]
+                                  for r in support], m)[1])
+        dims[len(dims)] = m - rank
+        if not rank:
+            break
+    return dims
+
+
+@pytest.mark.parametrize("preset", ["A1-sc", "A1-adj", "A2-sc", "A2-adj",
+                                    "B2-sc", "G2", "A3-sc"])
+def test_bk_filtration_matches_naive_walk(preset):
+    datum = build_datum(preset)
+    for nu in dominant_weights_with_dim_cap(datum, 27):
+        rep = build_irrep(datum, nu)
+        for coefficients in (None, [2, -3, 5][:datum.rank]):
+            for lam in rep.weight_spaces:
+                profile = bk_filtration(rep, lam, coefficients)
+                assert profile.dims == _reference_filtration(
+                    rep, lam, coefficients), (preset, nu, lam, coefficients)
+                assert list(profile.dims) == sorted(profile.dims)
+                assert profile.total == len(rep.weight_spaces[lam])
+
+
+def test_layer_rows_are_reduced_by_label(a2):
+    # each layer keeps independent rows, labels decreasing, as many as the
+    # rank of e on the layer: the rows labelled >= 1 cut out ker e there
+    rep = build_irrep(a2, (2, 1))
+    layers = {}
+    for w, idxs in rep.weight_spaces.items():
+        layers.setdefault(a2.pair_2rho_check(w), []).extend(idxs)
+    rows = _layer_rows(rep)
+    assert set(rows) == set(layers)
+    e = principal_e(rep)
+    for d, layer in rows.items():
+        labels = [label for label, _ in layer]
+        assert labels == sorted(labels, reverse=True)
+        assert int_columns_rank([row for _, row in layer]) == len(layer)
+        images = [op_apply(e, {c: Fraction(1)}) for c in layers[d]]
+        support = sorted({r for v in images for r in v})
+        rank_e = len(_gauss_jordan([[v.get(r, 0) for v in images]
+                                    for r in support], len(images))[1])
+        assert len(layer) == rank_e

@@ -165,3 +165,45 @@ def test_root_coordinates_round_trip(preset, coords, denom, k):
     if datum.rank > 1 and any(coords[1:]):
         assert levi.root_coordinates(vector) is None
     assert levi.root_coordinates(half) is None
+
+
+def test_weight_from_pairing_rejects_levi():
+    # a Levi's weights have weight_dim entries; its rank-many pairing
+    # coordinates do not determine one
+    for preset, subset in (("A2-adj", (0,)), ("A2-sc", (1,)), ("B2-sc", (0,))):
+        datum = build_datum(preset)
+        with pytest.raises(DomainError):
+            datum.levi(subset).weight_from_pairing((2,))
+        # the full datum still inverts pairing_coords
+        assert datum.pairing_coords(datum.weight_from_pairing((2, 2))) \
+            == (2, 2)
+
+
+@pytest.mark.parametrize("preset", sorted(EXPECTED))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(lam=st.lists(st.integers(-6, 6), min_size=3, max_size=3),
+       mu=st.lists(st.integers(-6, 6), min_size=3, max_size=3))
+def test_integer_rho_shift_matches_fraction_dot_action(preset, lam, mu):
+    datum = build_datum(preset)
+    lam = tuple(lam[:datum.weight_dim])
+    mu = tuple(mu[:datum.weight_dim])
+    lam_rho = tuple(Fraction(a) + r for a, r in zip(lam, datum.rho))
+    mu_rho = tuple(Fraction(a) + r for a, r in zip(mu, datum.rho))
+    for w in datum.weyl_elements():
+        shifted = tuple(a - b + s
+                        for a, b, s in zip(w.apply(lam), mu, w.rho_shift))
+        assert all(type(c) is int for c in shifted)
+        assert shifted == tuple(a - b for a, b in zip(w.apply(lam_rho), mu_rho))
+
+
+@pytest.mark.parametrize("preset", sorted(EXPECTED))
+def test_inner_product_with_root_vector_is_int(preset):
+    datum = build_datum(preset)
+    weight = tuple(range(1, datum.weight_dim + 1))
+    for root in datum.positive_roots():
+        value = datum.inner_product_with_root_vector(weight, root.root_coords)
+        assert type(value) is int
+    theta = datum.highest_root()
+    # B(theta, theta) = 2 d_theta
+    assert datum.inner_product_with_root_vector(
+        theta.weight, theta.root_coords) == 2 * theta.length_sq_half
