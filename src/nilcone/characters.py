@@ -10,11 +10,12 @@ the character of the largest remaining dominant weight.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 from . import cache
 from .errors import DomainError
-from .roots import _vec_add, _vec_sub
+from .roots import _dot, _vec_add, _vec_sub
 
 # per-datum memo tables; pure caches (results identical with or without)
 _MULT_CACHE = {}
@@ -27,17 +28,18 @@ def _require_dominant(datum, weight):
 
 
 def weyl_dimension(datum, lam):
-    """dim V_lam by the product formula over positive roots."""
+    """dim V_lam by Weyl's product formula over the positive roots,
+    prod <lam + rho, alpha-check> / <rho, alpha-check>, with every factor
+    doubled so that numerator and denominator are integers."""
     _require_dominant(datum, lam)
-    lam_rho = tuple(Fraction(a) + b for a, b in zip(lam, datum.rho))
-    num = Fraction(1)
-    den = Fraction(1)
+    num = den = 1
     for root in datum.positive_roots():
-        num *= sum(a * b for a, b in zip(lam_rho, root.coroot))
-        den *= sum(a * b for a, b in zip(datum.rho, root.coroot))
-    dim = num / den
-    assert dim.denominator == 1 and dim > 0
-    return int(dim)
+        shift = _dot(datum.two_rho, root.coroot)
+        num *= 2 * _dot(lam, root.coroot) + shift
+        den *= shift
+    dim, remainder = divmod(num, den)
+    assert remainder == 0 and dim > 0
+    return dim
 
 
 def _dominant_weights_below(datum, lam):
@@ -144,26 +146,37 @@ def _peel_key(datum, weight):
     return (datum.pair_2rho_check(weight), weight)
 
 
+def _peel_entry(datum, weight):
+    # heap entry: the smallest entry is the weight with the largest _peel_key
+    return (-datum.pair_2rho_check(weight), tuple(-c for c in weight), weight)
+
+
 def decompose_character(datum, char):
     """Write a character as a sum of irreducibles of `datum`.
 
     Repeatedly strips the largest remaining weight, which must be dominant
-    when the input really is a character of a representation.
+    when the input really is a character of a representation.  A weight
+    enters the heap once, when it first appears; one whose multiplicity has
+    gone to zero stays in `remaining` as 0 and is skipped when popped.
     """
     remaining = {w: m for w, m in char.items() if m}
+    heap = [_peel_entry(datum, w) for w in remaining]
+    heapq.heapify(heap)
     out = {}
-    while remaining:
-        top = max(remaining, key=lambda w: _peel_key(datum, w))
+    while heap:
+        top = heapq.heappop(heap)[2]
         mult = remaining[top]
+        if not mult:
+            continue
         if not datum.is_dominant(top) or mult < 0:
             raise DomainError("input is not the character of a representation")
-        out[top] = out.get(top, 0) + mult
+        out[top] = mult
         for w, m in irreducible_character(datum, top).items():
-            s = remaining.get(w, 0) - mult * m
-            if s:
-                remaining[w] = s
+            if w in remaining:
+                remaining[w] -= mult * m
             else:
-                remaining.pop(w, None)
+                remaining[w] = -mult * m
+                heapq.heappush(heap, _peel_entry(datum, w))
     return out
 
 

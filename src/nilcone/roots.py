@@ -186,7 +186,6 @@ class RootDatum:
         self.rho = tuple(
             Fraction(sum(r.weight[k] for r in roots), 2) for k in range(self.weight_dim))
         self.two_rho = tuple(sum(r.weight[k] for r in roots) for k in range(self.weight_dim))
-        self.rho_coweight = tuple(Fraction(c, 2) for c in self.two_rho_coweight)
 
     # -- basic pairing and reflection operations -------------------------
 

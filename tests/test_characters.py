@@ -1,13 +1,18 @@
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilcone.errors import DomainError
-from nilcone.roots import build_datum
+from nilcone.roots import build_datum, supported_presets
 from nilcone.characters import (weight_multiplicity, irreducible_character,
                                 tensor_decompose, restrict_to_levi,
                                 levi_degree_shift, weyl_dimension,
                                 weyl_character_oracle, dual_weight,
                                 tensor_decompose_on, restrict_decomposition,
-                                is_representation_character)
+                                is_representation_character,
+                                decompose_character)
 
 
 def test_weight_multiplicity_examples(a1, a2):
@@ -151,3 +156,119 @@ def test_memo_tables_are_pure_caches(a2):
     ch._MULT_CACHE.clear()
     assert irreducible_character(a2, (2, 1)) == before_char
     assert weight_multiplicity(a2, (2, 1), (0, 0)) == before_mult
+
+
+# -- Weyl dimension and the peel-off against independent references ------------
+
+def _levis(datum):
+    """Every Levi of the datum, from the torus to the datum's own subset."""
+    return [datum.levi(subset) for k in range(datum.rank + 1)
+            for subset in combinations(range(datum.rank), k)]
+
+
+def _weight(datum, levi, inside, outside):
+    """The weight of `datum` with pairings `inside` on the Levi's simple
+    coroots and `outside` on the others, or None off the lattice."""
+    coords = tuple(inside[i] if i in levi.simple_indices else outside[i]
+                   for i in range(datum.rank))
+    try:
+        return datum.weight_from_pairing(coords)
+    except DomainError:
+        return None
+
+
+def _reference_dimension(datum, lam):
+    """Weyl's product formula in Fractions, over rho itself."""
+    dim = Fraction(1)
+    for root in datum.positive_roots():
+        rho = datum.pair(datum.rho, root.coroot)
+        dim *= (datum.pair(lam, root.coroot) + rho) / rho
+    return dim
+
+
+_BOX = st.lists(st.integers(0, 2), min_size=3, max_size=3)
+
+
+@pytest.mark.parametrize("preset", supported_presets())
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(inside=_BOX, outside=st.lists(st.integers(-2, 2), min_size=3,
+                                     max_size=3))
+def test_weyl_dimension_matches_oracle_and_fraction_product(preset, inside,
+                                                            outside):
+    datum = build_datum(preset)
+    for levi in _levis(datum):
+        lam = _weight(datum, levi, inside, outside)
+        if lam is None:
+            continue
+        dim = weyl_dimension(levi, lam)
+        assert type(dim) is int
+        assert dim == _reference_dimension(levi, lam)
+        assert dim == sum(weyl_character_oracle(levi, lam).values())
+        if levi.rank:
+            # one negative pairing on a simple coroot of the Levi
+            below = list(inside)
+            below[levi.simple_indices[0]] = -1 - inside[levi.simple_indices[0]]
+            off = _weight(datum, levi, below, outside)
+            if off is not None:
+                with pytest.raises(DomainError):
+                    weyl_dimension(levi, off)
+
+
+def _reference_decompose(datum, char):
+    """The peel-off with a full max scan of the remaining weights per step."""
+    remaining = {w: m for w, m in char.items() if m}
+    out = {}
+    while remaining:
+        top = max(remaining, key=lambda w: (datum.pair_2rho_check(w), w))
+        mult = remaining[top]
+        if not datum.is_dominant(top) or mult < 0:
+            raise DomainError("input is not the character of a representation")
+        out[top] = out.get(top, 0) + mult
+        for w, m in irreducible_character(datum, top).items():
+            s = remaining.get(w, 0) - mult * m
+            if s:
+                remaining[w] = s
+            else:
+                remaining.pop(w, None)
+    return out
+
+
+_DECOMPOSE_DATA = [("A2-sc", None), ("B2-sc", None), ("G2", None),
+                   ("A3-sc", (0, 2))]
+
+
+def _datum_and_levi(preset, subset):
+    datum = build_datum(preset)
+    return datum, datum if subset is None else datum.levi(subset)
+
+
+@pytest.mark.parametrize("preset,subset", _DECOMPOSE_DATA)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(terms=st.lists(st.tuples(_BOX, st.integers(0, 3)), max_size=4))
+def test_decompose_character_matches_max_scan(preset, subset, terms):
+    datum, levi = _datum_and_levi(preset, subset)
+    char = {}
+    for inside, mult in terms:
+        lam = _weight(datum, levi, inside, (1, -1, 1))
+        if lam is None:
+            continue
+        for w, m in irreducible_character(levi, lam).items():
+            char[w] = char.get(w, 0) + mult * m
+    out = decompose_character(levi, char)
+    assert list(out.items()) == \
+        list(_reference_decompose(levi, char).items())
+
+
+@pytest.mark.parametrize("preset,subset", _DECOMPOSE_DATA)
+def test_decompose_character_rejects_non_characters(preset, subset):
+    datum, levi = _datum_and_levi(preset, subset)
+    lam = _weight(datum, levi, (1, 1, 1), (1, -1, 1))
+    off = _weight(datum, levi, (-1, -1, -1), (1, -1, 1))
+    zero = (0,) * datum.weight_dim
+    char = irreducible_character(levi, lam)
+    char[zero] = char.get(zero, 0) - 1
+    for bad in ({off: 1}, char):
+        with pytest.raises(DomainError):
+            decompose_character(levi, bad)
+        with pytest.raises(DomainError):
+            _reference_decompose(levi, bad)

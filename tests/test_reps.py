@@ -348,6 +348,22 @@ def test_route_sides_bind_no_foreign_elimination():
         assert not bound, (module.__name__, bound)
 
 
+def test_weyl_character_oracle_stays_independent():
+    """The oracle checks the Freudenthal characters, the peel-off and the
+    product formula, so it must reach none of them: its long division
+    keeps its own naive max scan."""
+    import nilcone.characters
+    names = set()
+    codes = [nilcone.characters.weyl_character_oracle.__code__]
+    while codes:
+        code = codes.pop()
+        names.update(code.co_names)
+        codes.extend(c for c in code.co_consts if hasattr(c, "co_names"))
+    foreign = {"decompose_character", "heapq", "weyl_dimension",
+               "_peel_entry", "irreducible_character", "_mult_dominant"}
+    assert not names & foreign, sorted(names & foreign)
+
+
 # -- the kernel filtration against a naive walk of e^k ------------------------
 
 def _reference_filtration(rep, lam, coefficients=None):
