@@ -12,14 +12,11 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from functools import lru_cache
 
 from . import cache
 from .errors import DomainError
 from .roots import _dot, _vec_add, _vec_sub
-
-# per-datum memo tables; pure caches (results identical with or without)
-_MULT_CACHE = {}
-_CHAR_CACHE = {}
 
 
 def _require_dominant(datum, weight):
@@ -70,49 +67,47 @@ def weight_multiplicity(datum, lam, mu):
     return _mult_dominant(datum, lam, mu)
 
 
+@lru_cache(maxsize=None)
 def _mult_dominant(datum, lam, mu):
-    key = (datum.name, lam, mu)
-    if key in _MULT_CACHE:
-        return _MULT_CACHE[key]
     if mu == lam:
-        _MULT_CACHE[key] = 1
         return 1
     diff = datum.root_coordinates(_vec_sub(lam, mu))
     if diff is None or any(c < 0 for c in diff):
-        _MULT_CACHE[key] = 0
         return 0
     # denominator |lam+rho|^2 - |mu+rho|^2 = B(lam+mu+2rho, lam-mu)
     lam_mu_2rho = tuple(a + b + r for a, b, r in zip(lam, mu, datum.two_rho))
     denom = datum.inner_product_with_root_vector(lam_mu_2rho, diff)
     if denom == 0:
-        _MULT_CACHE[key] = 0
         return 0
     total = 0
     for root in datum.positive_roots():
         # lam - (mu + k*root) stays a nonnegative root combination
         remaining = diff
-        nu = mu
+        string = [mu]
         while True:
             remaining = tuple(a - b for a, b in zip(remaining, root.root_coords))
             if any(c < 0 for c in remaining):
                 break
-            nu = _vec_add(nu, root.weight)
+            string.append(_vec_add(string[-1], root.weight))
+        # from the top of the string down, so that each call finds the
+        # multiplicities above it memoised and the recursion stays shallow
+        for nu in reversed(string[1:]):
             m = _mult_dominant(datum, lam, datum.dominant_representative(nu))
             if m:
                 total += m * datum.inner_product_with_root_vector(nu, root.root_coords)
     value, remainder = divmod(2 * total, denom)
     assert remainder == 0
-    _MULT_CACHE[key] = value
     return value
 
 
 def irreducible_character(datum, lam):
     """Full weight multiset of V_lam as a dict weight -> multiplicity."""
     _require_dominant(datum, lam)
-    lam = tuple(lam)
-    key = (datum.name, lam)
-    if key in _CHAR_CACHE:
-        return dict(_CHAR_CACHE[key])
+    return dict(_character(datum, tuple(lam)))
+
+
+@lru_cache(maxsize=None)
+def _character(datum, lam):
     request = {"op": "irreducible_character", "preset": datum.name,
                "weight": list(lam)}
     stored = cache.fetch(request)
@@ -128,7 +123,6 @@ def irreducible_character(datum, lam):
                 char[w] = m
         cache.store(request, sorted([list(w), m] for w, m in char.items()))
     assert sum(char.values()) == weyl_dimension(datum, lam)
-    _CHAR_CACHE[key] = dict(char)
     return char
 
 

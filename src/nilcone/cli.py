@@ -60,8 +60,12 @@ def _emit(args, result, tsv_text):
     else:
         text = tsv_text
     if args.out_path:
-        with open(args.out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise DomainError("cannot write %r: %s"
+                              % (args.out_path, exc.strerror or exc))
     else:
         sys.stdout.write(text + "\n")
 
@@ -210,8 +214,16 @@ def cmd_sl2_profile(args):
     _emit(args, payload, "\n".join(lines))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise DomainError: one error line and exit 1, where
+    argparse would print its usage and exit 2, the resource-error code."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nilcone",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)

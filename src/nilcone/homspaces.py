@@ -20,6 +20,7 @@ qanalog are doubled at this boundary only.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError
 from .roots import _vec_sub
@@ -88,25 +89,21 @@ def hom_profile_kostant(datum, source, target):
 
 def hom_profile_slice(datum, source, target, dim_cap=DEFAULT_DIM_CAP):
     """Same table, via equivariant linear algebra at the principal nilpotent."""
-    elements, _ = centralizer_and_exponents(datum)
     table = {}
     for lam, i in source:
         for mu, j in target:
-            for degree, dim in _slice_pair(datum, lam, mu, elements, dim_cap):
+            for degree, dim in _slice_pair(datum, lam, mu, dim_cap):
                 key = (j - i, degree)
                 table[key] = table.get(key, 0) + dim
     return {k: v for k, v in table.items() if v}
 
 
-_SLICE_CACHE = {}
-
-
-def _slice_pair(datum, lam, mu, elements, dim_cap):
-    key = (datum.name, lam, mu)
-    if key in _SLICE_CACHE:
-        return _SLICE_CACHE[key]
+@lru_cache(maxsize=None)
+def _slice_pair(datum, lam, mu, dim_cap):
+    """((degree, dim), ...) of the equivariant maps V_lam -> V_mu; dim_cap
+    is part of the memo key, so a smaller cap still raises."""
+    elements, _ = centralizer_and_exponents(datum)
     if not same_center_component(datum, lam, mu):
-        _SLICE_CACHE[key] = ()
         return ()
     rep_s = build_irrep(datum, lam, dim_cap)
     rep_t = build_irrep(datum, mu, dim_cap)
@@ -155,9 +152,7 @@ def _slice_pair(datum, lam, mu, elements, dim_cap):
         dim = len(cells) - rank
         if dim:
             out.append((w, dim))
-    out = tuple(out)
-    _SLICE_CACHE[key] = out
-    return out
+    return tuple(out)
 
 
 def collapse_profile(table):

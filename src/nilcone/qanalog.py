@@ -7,13 +7,13 @@ conversions to even geometric degrees happen in the consumers, never here.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import cache
 from .errors import DomainError
 from .qpoly import QPoly, product_truncated, geometric_series
 from .roots import _vec_sub
 from .characters import weyl_dimension, _require_dominant
-
-_KOSTANT_CACHE = {}
 
 
 def q_kostant(datum, nu):
@@ -25,35 +25,33 @@ def q_kostant(datum, nu):
     coords = datum.root_coordinates(tuple(nu))
     if coords is None or any(c < 0 for c in coords):
         return QPoly.zero()
-    return _q_kostant_coords(datum, coords)
+    return _q_kostant_coords(datum, coords, len(datum.positive_roots()) - 1)
 
 
-def _q_kostant_coords(datum, coords):
-    roots = datum.positive_roots()
-    n = len(roots)
-    cache = _KOSTANT_CACHE.setdefault(datum.name, {})
+def _q_kostant_coords(datum, coords, idx):
+    """q-Kostant count of root coordinates over the positive roots 0..idx.
 
-    def rec(remaining, idx):
-        if not any(remaining):
-            return QPoly.one()
-        if idx < 0:
-            return QPoly.zero()
-        key = (remaining, idx)
-        if key in cache:
-            return cache[key]
-        root = roots[idx].root_coords
-        out = QPoly.zero()
-        k = 0
-        vec = remaining
-        while all(c >= 0 for c in vec):
-            out = out + rec(vec, idx - 1).shifted(k)
-            vec = tuple(a - b for a, b in zip(vec, root))
-            k += 1
-        cache[key] = out
-        return out
+    Callers start at the highest root, which prunes fastest.  The two base
+    cases stay in front of the memo, which would otherwise hold thousands
+    of them.
+    """
+    if not any(coords):
+        return QPoly.one()
+    if idx < 0:
+        return QPoly.zero()
+    return _q_kostant(datum, coords, idx)
 
-    # scan roots from the highest down: the tallest root prunes fastest
-    return rec(tuple(coords), n - 1)
+
+@lru_cache(maxsize=None)
+def _q_kostant(datum, coords, idx):
+    root = datum.positive_roots()[idx].root_coords
+    out = QPoly.zero()
+    k = 0
+    while all(c >= 0 for c in coords):
+        out = out + _q_kostant_coords(datum, coords, idx - 1).shifted(k)
+        coords = tuple(a - b for a, b in zip(coords, root))
+        k += 1
+    return out
 
 
 def lusztig_q_analog(datum, lam, mu):
@@ -74,7 +72,8 @@ def lusztig_q_analog(datum, lam, mu):
         coords = datum.root_coordinates(arg)
         if coords is None or any(c < 0 for c in coords):
             continue
-        term = _q_kostant_coords(datum, coords)
+        term = _q_kostant_coords(datum, coords,
+                                 len(datum.positive_roots()) - 1)
         out = out + (term if w.sign > 0 else -term)
     cache.store(request, out.to_json())
     return out

@@ -13,6 +13,9 @@ Kernel filtrations of the principal nilpotent e come from one top-down pass
 over the principal-degree layers (:func:`_layer_rows`), whose labelled rows
 bk_filtration restricts to a weight space, one rank per label.
 
+Built modules and their layer rows are memoised with functools.lru_cache,
+at most 12 of each; a module object is never changed after it is built.
+
 Operators are stored sparsely as {column: {row: value}}, with Fraction or
 int values.
 """
@@ -20,6 +23,7 @@ int values.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .errors import DomainError, ResourceError
@@ -29,6 +33,8 @@ from .characters import (irreducible_character, weyl_dimension,
                          _require_dominant)
 
 DEFAULT_DIM_CAP = 400
+# matrix modules, and layer rows of modules, kept in memory
+_MODULES_KEPT = 12
 
 
 # -- sparse operator helpers -------------------------------------------------
@@ -247,10 +253,6 @@ class MatrixRep:
         }
 
 
-_REP_CACHE = {}
-_REP_CACHE_LIMIT = 12
-
-
 def build_irrep(datum, lam, dim_cap=DEFAULT_DIM_CAP):
     """Construct the irreducible module with highest weight lam."""
     _require_dominant(datum, lam)
@@ -259,10 +261,11 @@ def build_irrep(datum, lam, dim_cap=DEFAULT_DIM_CAP):
     if dim > dim_cap:
         raise ResourceError(
             "dim V_%r = %d exceeds the cap %d" % (lam, dim, dim_cap))
-    key = (datum.name, lam)
-    if key in _REP_CACHE:
-        return _REP_CACHE[key]
+    return _build_irrep(datum, lam)
 
+
+@lru_cache(maxsize=_MODULES_KEPT)
+def _build_irrep(datum, lam):
     char = irreducible_character(datum, lam)
     rank = datum.rank
     simple = datum.simple_roots
@@ -381,9 +384,6 @@ def build_irrep(datum, lam, dim_cap=DEFAULT_DIM_CAP):
 
     rep = MatrixRep(datum, lam, basis, e_ops, f_ops)
     rep.validate()
-    if len(_REP_CACHE) >= _REP_CACHE_LIMIT:
-        _REP_CACHE.pop(next(iter(_REP_CACHE)))
-    _REP_CACHE[key] = rep
     return rep
 
 
@@ -474,9 +474,7 @@ class CentralizerElement:
         return out
 
 
-_CENTRALIZER_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def centralizer_and_exponents(datum):
     """Homogeneous basis of the centralizer of e, and the exponents.
 
@@ -484,8 +482,6 @@ def centralizer_and_exponents(datum):
     elements come back as abstract bracket combinations reusable in any
     module, with principal degrees 2 m_1 <= ... <= 2 m_r.
     """
-    if datum.name in _CENTRALIZER_CACHE:
-        return _CENTRALIZER_CACHE[datum.name]
     adj = build_irrep(datum, datum.highest_root().weight)
     e = principal_e(adj)
     items = _abstract_basis(datum)
@@ -518,9 +514,7 @@ def centralizer_and_exponents(datum):
             "unexpected centralizer degree %r" % (el.degree,)
     exponents = [el.degree // 2 for el in elements]
     assert len(exponents) == datum.rank
-    result = (elements, exponents)
-    _CENTRALIZER_CACHE[datum.name] = result
-    return result
+    return elements, exponents
 
 
 # -- the kernel filtration -----------------------------------------------------
@@ -555,12 +549,6 @@ class FiltrationProfile:
 
 def integer_principal_e(rep, coefficients=None):
     """principal_e rescaled to integer entries (kernel powers unchanged)."""
-    key = tuple(coefficients) if coefficients is not None else None
-    cache = getattr(rep, "_int_e_cache", None)
-    if cache is None:
-        cache = rep._int_e_cache = {}
-    if key in cache:
-        return cache[key]
     # one common factor for every entry, so the powers keep their kernels
     flat = _strip_column({(c, r): v
                           for c, col in principal_e(rep, coefficients).items()
@@ -568,10 +556,10 @@ def integer_principal_e(rep, coefficients=None):
     out = {}
     for (c, r), v in flat.items():
         out.setdefault(c, {})[r] = v
-    cache[key] = out
     return out
 
 
+@lru_cache(maxsize=_MODULES_KEPT)
 def _layer_rows(rep, coefficients=None):
     """Labelled integer rows cutting out the kernels of the powers of e.
 
@@ -583,14 +571,9 @@ def _layer_rows(rep, coefficients=None):
     These are reduced in decreasing label order and the rows that reduce
     to zero are dropped, which keeps the span of the rows labelled >= k
     for every k.  Returns {d: [(label, row), ...]}, labels decreasing.
+    Coefficients, if given, come as a tuple: they key the memo.
     """
     e = integer_principal_e(rep, coefficients)
-    # kept next to e, in the per-module cache integer_principal_e made
-    cache = rep._int_e_cache
-    key = ("layer rows",
-           tuple(coefficients) if coefficients is not None else None)
-    if key in cache:
-        return cache[key]
     # e transposed: the coordinate row of each target basis vector
     e_rows = {}
     for c, col in e.items():
@@ -607,7 +590,6 @@ def _layer_rows(rep, coefficients=None):
         rows += [(1, e_rows[j]) for j in layers.get(d + 2, ()) if j in e_rows]
         kept, _ = _eliminate([row for _, row in rows])
         out[d] = [(rows[j][0], row) for j, row in kept.items()]
-    cache[key] = out
     return out
 
 
@@ -625,6 +607,8 @@ def bk_filtration(rep, lam, coefficients=None):
     m = len(cols)
     if m == 0:
         return FiltrationProfile(lam, {}, 0)
+    if coefficients is not None:
+        coefficients = tuple(coefficients)
     layer = _layer_rows(rep, coefficients).get(
         rep.datum.pair_2rho_check(lam), ())
     rows = []  # (label, row restricted to V_lam)

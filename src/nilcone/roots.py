@@ -11,6 +11,7 @@ bases meet is the pairing-coordinate conversion pair
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ConfigurationError, DomainError
 
@@ -463,13 +464,10 @@ def _integral_solution(inverse, v):
     return tuple(out)
 
 
-_DATUM_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def build_datum(preset):
-    """Return the validated RootDatum for a preset identifier."""
-    if preset in _DATUM_CACHE:
-        return _DATUM_CACHE[preset]
+    """Return the validated RootDatum for a preset identifier; one object
+    per preset, so the memos downstream can key on the datum itself."""
     if preset not in _PRESETS:
         raise ConfigurationError(
             "unknown preset %r; supported: %s" % (preset, ", ".join(supported_presets())))
@@ -480,5 +478,4 @@ def build_datum(preset):
         raise ConfigurationError(
             "preset %s produced %d positive roots, expected %d"
             % (preset, len(datum.positive_roots()), n_pos))
-    _DATUM_CACHE[preset] = datum
     return datum

@@ -22,6 +22,8 @@ golden files.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import DomainError
 from .roots import build_datum
 from .characters import tensor_decompose
@@ -161,19 +163,10 @@ def convolve_class(cls, k):
     return {j: v for j, v in out.items() if v}
 
 
-_SPHERICAL_DATUM = None
-
-
 def _spherical_convolution(n, k):
     """IC_n * IC_k for n, k >= 0, from the rank-one adjoint tensor ring."""
-    global _SPHERICAL_DATUM
-    if _SPHERICAL_DATUM is None:
-        _SPHERICAL_DATUM = build_datum("A1-adj")
-    dec = tensor_decompose(_SPHERICAL_DATUM, (n // 2,), (k // 2,))
+    dec = tensor_decompose(build_datum("A1-adj"), (n // 2,), (k // 2,))
     return {2 * w[0]: m for w, m in dec.items()}
-
-
-_RECURSIVE_CACHE = {}
 
 
 def convolve_ic_recursive(m, k):
@@ -192,9 +185,12 @@ def convolve_ic_recursive(m, k):
     if m == -2:
         # two-step base case: produced by the rank-one resolution geometry
         return {-2: 1} if k == 0 else {-k - 2: 1, -k: 1}
-    key = (m, k)
-    if key in _RECURSIVE_CACHE:
-        return dict(_RECURSIVE_CACHE[key])
+    return dict(_convolve_recursive(m, k))
+
+
+@lru_cache(maxsize=None)
+def _convolve_recursive(m, k):
+    """The descent step of convolve_ic_recursive, for m < -2."""
     n = -m - 2
     left = {}
     for j, c in convolve_ic_recursive(n, k).items():
@@ -208,7 +204,6 @@ def convolve_ic_recursive(m, k):
             left[j] = s
         else:
             left.pop(j, None)
-    _RECURSIVE_CACHE[key] = dict(left)
     return left
 
 

@@ -21,6 +21,12 @@ def test_weight_multiplicity_examples(a1, a2):
     assert weight_multiplicity(a2, (1, 1), (0, 0)) == 2
 
 
+def test_weight_multiplicity_far_down_a_long_string(a1):
+    # each root string is walked from the top, so the memoised recursion
+    # stays shallow however far mu lies below lam
+    assert weight_multiplicity(a1, (1200,), (0,)) == 1
+
+
 def test_weight_multiplicity_requires_dominant(a2):
     with pytest.raises(DomainError):
         weight_multiplicity(a2, (-1, 0), (0, 0))
@@ -149,13 +155,43 @@ def test_dimension_identity_on_products(b2):
 
 def test_memo_tables_are_pure_caches(a2):
     # identical results with the in-process tables cleared
+    import sys
     import nilcone.characters as ch
+    from nilcone import sl2
+    from nilcone.homspaces import free_object, hom_profile_slice
+    from nilcone.qanalog import lusztig_q_analog
+    from nilcone.reps import build_irrep, centralizer_and_exponents
+
+    def other_results():
+        rep = build_irrep(a2, (2, 1))
+        v = free_object([((1, 1), 0), ((2, 2), 1)])
+        return (lusztig_q_analog(a2, (2, 2), (1, 1)),
+                (rep.basis, rep.e_ops, rep.f_ops),
+                centralizer_and_exponents(a2)[1],
+                hom_profile_slice(a2, v, v),
+                sl2.convolve_ic_recursive(-10, 4))
+
     before_char = irreducible_character(a2, (2, 1))
     before_mult = weight_multiplicity(a2, (2, 1), (0, 0))
-    ch._CHAR_CACHE.clear()
-    ch._MULT_CACHE.clear()
+    before_other = other_results()
+    memos = set()
+    for name, module in list(sys.modules.items()):
+        if name == "nilcone" or name.startswith("nilcone."):
+            memos.update(value for value in vars(module).values()
+                         if hasattr(value, "cache_clear"))
+    assert memos
+    for memo in memos:
+        memo.cache_clear()
     assert irreducible_character(a2, (2, 1)) == before_char
     assert weight_multiplicity(a2, (2, 1), (0, 0)) == before_mult
+    assert other_results() == before_other
+    # the public results are copies: mutating one leaves the memo intact
+    for call, args in ((ch.irreducible_character, (a2, (2, 1))),
+                       (sl2.convolve_ic_recursive, (-10, 4))):
+        first = call(*args)
+        expected = dict(first)
+        first.clear()
+        assert call(*args) == expected
 
 
 # -- Weyl dimension and the peel-off against independent references ------------

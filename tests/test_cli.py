@@ -68,12 +68,27 @@ def test_domain_error_exit_code(capsys):
     ["sl2-table", "--object", "delta", "--labels", "a"],
     ["sl2-profile", "--k", "2", "--window=3"],
     ["hom", "--preset", "A2-sc", "--source", "1,0@x", "--target", "1,0"],
+    # usage errors that argparse would report with exit code 2
+    ["tensor", "--preset", "A2-sc", "--lhs", "1,0"],
+    ["hilbert", "--preset", "A2-sc", "--truncation", "x"],
+    ["tensor", "--preset", "A2-sc", "--lhs", "-1,0", "--rhs", "0,1"],
+    [],
+    # an --out path that cannot be opened
+    ["tensor", "--preset", "A2-sc", "--lhs", "1,0", "--rhs", "0,1",
+     "--out", os.path.join(os.devnull, "x.json")],
 ])
 def test_malformed_argument_is_one_domain_error(capsys, argv):
     code, out, err = _capture(capsys, argv)
     assert code == 1 and not out
     assert err.startswith("error\tdomain\t")
     assert err.count("\n") == 1
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["tensor", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: nilcone tensor")
 
 
 def test_resource_error_exit_code(capsys):

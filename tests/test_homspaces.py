@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from nilcone.errors import DomainError
+from nilcone.errors import DomainError, ResourceError
 from nilcone.roots import build_datum
 from nilcone.characters import weyl_dimension
 from nilcone.reps import build_irrep, principal_e
@@ -56,6 +56,13 @@ def test_dual_route_agreement(preset, cap):
         tgt = free_object([(mu, 0)])
         assert hom_profile_kostant(datum, src, tgt) == \
             hom_profile_slice(datum, src, tgt), (lam, mu)
+
+
+def test_dimension_cap_holds_for_cached_slice_pairs(a2):
+    v = free_object([((2, 2), 0)])
+    assert hom_profile_slice(a2, v, v)
+    with pytest.raises(ResourceError):
+        hom_profile_slice(a2, v, v, dim_cap=10)
 
 
 def test_dual_route_multi_summand_with_shifts(a2):

@@ -13,7 +13,8 @@ from nilcone.reps import (build_irrep, principal_e, centralizer_and_exponents,
                           verify_theorem_filtrations, poincare_gr,
                           op_compose, op_apply, op_commutator, op_equal,
                           integer_principal_e, fraction_solve,
-                          int_columns_rank, _eliminate, _layer_rows)
+                          int_columns_rank, _eliminate, _layer_rows,
+                          MatrixRep)
 from nilcone.qanalog import p_bk_polynomial
 from conftest import dominant_weights_with_dim_cap
 
@@ -346,6 +347,31 @@ def test_route_sides_bind_no_foreign_elimination():
         bound = [name for name, value in vars(module).items()
                  if any(value is fn for fn in foreign)]
         assert not bound, (module.__name__, bound)
+
+
+def test_every_memo_is_an_lru_cache(a2):
+    """No module binds a mutable table apart from two constant ones, and a
+    built module carries only the attributes MatrixRep.__init__ sets, so
+    every in-memory memo is a functools.lru_cache."""
+    import sys
+    import nilcone.cli
+    constants = {("nilcone.roots", "_PRESETS"), ("nilcone.cli", "_SL2_KINDS")}
+    tables = [(name, attr)
+              for name, module in list(sys.modules.items())
+              if name == "nilcone" or name.startswith("nilcone.")
+              for attr, value in vars(module).items()
+              if not attr.startswith("__")
+              and isinstance(value, (dict, list, set))
+              and (name, attr) not in constants]
+    assert not tables, tables
+    rep = build_irrep(a2, (2, 1))
+    bk_profile_all_weights(rep, [2, -3])
+    bk_profile_all_weights(rep)
+    integer_principal_e(rep)
+    centralizer_and_exponents(a2)[0][0].realize(rep)
+    fresh = MatrixRep(rep.datum, rep.highest_weight, rep.basis, rep.e_ops,
+                      rep.f_ops)
+    assert set(vars(rep)) == set(vars(fresh))
 
 
 def test_weyl_character_oracle_stays_independent():
