@@ -45,6 +45,17 @@ def _parse_subset(text):
         raise DomainError("subset must be comma-separated integers, got %r" % text)
 
 
+def _dim_cap(text):
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise argparse.ArgumentTypeError(
+            "must be an integer >= 1, got %r" % text)
+    return cap
+
+
 def _poly_json(poly):
     return [[e, str(c)] for e, c in poly.pairs()]
 
@@ -264,7 +275,7 @@ def build_parser():
     common(p)
     p.add_argument("--nu", required=True)
     p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--dim-cap", dest="dim_cap", type=int,
+    p.add_argument("--dim-cap", dest="dim_cap", type=_dim_cap,
                    default=reps.DEFAULT_DIM_CAP)
     p.set_defaults(func=cmd_bk_verify)
 
@@ -275,7 +286,7 @@ def build_parser():
     p.add_argument("--target", required=True)
     p.add_argument("--route", choices=("kostant", "slice", "both"),
                    default="kostant")
-    p.add_argument("--dim-cap", dest="dim_cap", type=int,
+    p.add_argument("--dim-cap", dest="dim_cap", type=_dim_cap,
                    default=reps.DEFAULT_DIM_CAP)
     p.set_defaults(func=cmd_hom)
 

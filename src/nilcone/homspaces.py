@@ -109,7 +109,6 @@ def _slice_pair(datum, lam, mu, dim_cap):
     rep_t = build_irrep(datum, mu, dim_cap)
     ops_s = [el.realize(rep_s) for el in elements]
     ops_t = [el.realize(rep_t) for el in elements]
-    degrees = [el.degree for el in elements]
 
     pdeg_s = [rep_s.principal_degree(a) for a in range(rep_s.dim)]
     pdeg_t = [rep_t.principal_degree(b) for b in range(rep_t.dim)]
@@ -130,13 +129,11 @@ def _slice_pair(datum, lam, mu, dim_cap):
     out = []
     for w in sorted(cells_by_degree):
         cells = cells_by_degree[w]
-        cell_pos = {cell: n for n, cell in enumerate(cells)}
         eq_index = {}
         columns = []
         for (t, s) in cells:
             col = {}
             for xi, X_t in enumerate(ops_t):
-                base = (xi, degrees[xi])
                 tcol = X_t.get(t)
                 if tcol:
                     for t2, v in tcol.items():

@@ -1,13 +1,16 @@
 """Exact matrix models of irreducible modules and the principal nilpotent.
 
-Modules are built by closing a highest-weight vector under the lowering
-operators, pruning the maximal submodule with the contravariant form: a
-monomial f-word enters the basis only if it enlarges the rank of the Gram
-matrix at its weight, and the form is positive definite on a true basis, so
-ranks decide membership exactly.  Operator entries are Fractions; the
-linear algebra (Gram solves, ranks, the centralizer kernel, the kernel
-filtration rows) goes through one fraction-free integer elimination,
-:func:`_eliminate`.
+Modules are built weight space by weight space, going down from the
+highest-weight vector: the candidates for a basis of V(mu) are the vectors
+f_i b with b in the basis of V(mu + alpha_i).  In an irreducible module no
+nonzero vector of weight mu below the highest weight is killed by every e_j
+(it would generate a proper submodule), so candidates are independent
+exactly when their e-images in the spaces V(mu + alpha_j) are: one
+elimination of those images picks the basis, and a candidate's coordinates
+over it are those of its e-image.  Operator entries are Fractions; the
+linear algebra (the basis choice, solves, ranks, the centralizer kernel,
+the kernel filtration rows) goes through one fraction-free integer
+elimination, :func:`_eliminate`.
 
 Kernel filtrations of the principal nilpotent e come from one top-down pass
 over the principal-degree layers (:func:`_layer_rows`), whose labelled rows
@@ -171,7 +174,7 @@ def fraction_solve(matrix, rhs):
     columns.append({r: -rhs[r] for r in range(n) if rhs[r]})
     # the kernel of [matrix | -rhs] is spanned by (x, 1)
     kept, kernel = _eliminate(columns, n)
-    assert len(kept) == n and kernel[0][n], "singular Gram matrix"
+    assert len(kept) == n and kernel[0][n], "singular matrix"
     return [Fraction(x, kernel[0][n]) for x in kernel[0][:n]]
 
 
@@ -274,86 +277,47 @@ def _build_irrep(datum, lam):
         lv = datum.height(_vec_sub(lam, w))
         levels.setdefault(lv, []).append(w)
 
-    words = {lam: [()]}
-    gram = {lam: [[Fraction(1)]]}
-    f_cols = {}  # (i, source weight, source index) -> coords at target weight
-    e_cols = {}  # (i, weight, index) -> coords at weight + alpha_i
-
+    # sparse coords: {index at the target weight: coeff}
+    f_cols = {}  # (i, weight, index) -> coords at weight - alpha_i
+    e_cols = {}  # (j, weight, index) -> coords at weight + alpha_j
     for lv in sorted(levels)[1:]:
         for mu in sorted(levels[lv]):
-            target = char[mu]
-            cands = []
+            # rows of the e-images: (j, index in the basis of mu + alpha_j)
+            rows = [(j, r) for j in range(rank)
+                    for r in range(char.get(_vec_add(mu, simple[j]), 0))]
+            row_of = {jr: n for n, jr in enumerate(rows)}
+            cands = []  # f_i b_k for each basis vector b_k of mu + alpha_i
             for i in range(rank):
                 nu = _vec_add(mu, simple[i])
-                for k in range(len(words.get(nu, ()))):
-                    cands.append((i, nu, k))
-            # e_j action on each candidate, expressed at weight mu + alpha_j
-            evecs = []
-            for (i, nu, k) in cands:
-                per_j = {}
+                cands += [(i, nu, k) for k in range(char.get(nu, 0))]
+            columns = []  # the e-image of each candidate
+            for i, nu, k in cands:
+                # e_j f_i b = f_i e_j b + delta_ij h_i b
+                col = {row_of[(i, k)]: Fraction(datum.simple_pairing(nu, i))}
                 for j in range(rank):
-                    up = _vec_add(mu, simple[j])
-                    if up not in words:
-                        continue
-                    m_up = len(words[up])
-                    acc = [Fraction(0)] * m_up
-                    # f_i applied to e_j of the source basis vector
-                    src = e_cols.get((j, nu, k))
-                    if src is not None:
-                        over = _vec_add(nu, simple[j])
-                        for t, c in enumerate(src):
-                            if not c:
-                                continue
-                            fc = f_cols.get((i, over, t))
-                            if fc is None:
-                                continue
-                            for r, v in enumerate(fc):
-                                acc[r] += c * v
-                    if i == j:
-                        acc[k] += datum.simple_pairing(nu, i)
-                    if any(acc):
-                        per_j[j] = acc
-                evecs.append(per_j)
-
-            def pairing(sel_idx, cand_idx):
-                # <candidate sel, candidate cand> = <source(sel), e_{i_sel} cand>
-                i_s, nu_s, k_s = cands[sel_idx]
-                vec = evecs[cand_idx].get(i_s)
-                if vec is None:
-                    return Fraction(0)
-                grow = gram[nu_s][k_s]
-                return sum(grow[t] * vec[t] for t in range(len(vec)) if vec[t])
-
-            selected = []
-            gsel = []
-            for ci in range(len(cands)):
-                if len(selected) == target:
-                    break
-                row = [pairing(sel_ci, ci) for sel_ci in selected]
-                self_pairing = pairing(ci, ci)
-                if selected:
-                    y = fraction_solve(gsel, row)
-                    residual = self_pairing - sum(a * b for a, b in zip(row, y))
-                else:
-                    residual = self_pairing
-                if residual:
-                    for t, r in enumerate(row):
-                        gsel[t].append(r)
-                    gsel.append(row + [self_pairing])
-                    selected.append(ci)
-            assert len(selected) == target, \
+                    over = _vec_add(nu, simple[j])
+                    for t, c in e_cols.get((j, nu, k), {}).items():
+                        for r, v in f_cols.get((i, over, t), {}).items():
+                            n = row_of[(j, r)]
+                            col[n] = col.get(n, 0) + c * v
+                columns.append({n: v for n, v in col.items() if v})
+            # no nonzero vector below lam is killed by every e_j, so the
+            # first candidates with independent e-images are a basis
+            kept, _ = _eliminate(columns, len(rows))
+            assert len(kept) == char[mu], \
                 "could not span weight space %r of V_%r" % (mu, lam)
-
-            words[mu] = [(cands[ci][0],) + words[cands[ci][1]][cands[ci][2]]
-                         for ci in selected]
-            gram[mu] = gsel
-            # coords of every candidate over the selected basis -> f columns
-            for ci, (i, nu, k) in enumerate(cands):
-                b = [pairing(sel_ci, ci) for sel_ci in selected]
-                f_cols[(i, nu, k)] = fraction_solve(gsel, b)
-            for pos, ci in enumerate(selected):
-                for j, vec in evecs[ci].items():
-                    e_cols[(j, mu, pos)] = vec
+            pivots = [min(col) for col in kept.values()]
+            square = [[columns[ci].get(p, 0) for ci in kept] for p in pivots]
+            # a candidate's coords over the basis are those of its e-image,
+            # fixed by the rows where the selected e-images have their pivots
+            for ci, cand in enumerate(cands):
+                coords = fraction_solve(
+                    square, [columns[ci].get(p, 0) for p in pivots])
+                f_cols[cand] = {t: x for t, x in enumerate(coords) if x}
+            for pos, ci in enumerate(kept):
+                for n, v in columns[ci].items():
+                    j, r = rows[n]
+                    e_cols.setdefault((j, mu, pos), {})[r] = v
 
     # global basis: sorted by descending principal degree, then weight, then slot
     weight_order = sorted(char, key=lambda w: (-datum.pair_2rho_check(w), w))
@@ -365,22 +329,15 @@ def _build_irrep(datum, lam):
 
     e_ops = [dict() for _ in range(rank)]
     f_ops = [dict() for _ in range(rank)]
-    for (i, mu, k), vec in e_cols.items():
-        up = _vec_add(mu, simple[i])
-        col = {}
-        for t, v in enumerate(vec):
-            if v:
-                col[index_of[(up, t)]] = v
-        if col:
-            e_ops[i][index_of[(mu, k)]] = col
+    for (j, mu, k), vec in e_cols.items():
+        up = _vec_add(mu, simple[j])
+        e_ops[j][index_of[(mu, k)]] = {index_of[(up, t)]: v
+                                       for t, v in vec.items()}
     for (i, nu, k), vec in f_cols.items():
         down = _vec_sub(nu, simple[i])
-        col = {}
-        for t, v in enumerate(vec):
-            if v:
-                col[index_of[(down, t)]] = v
-        if col:
-            f_ops[i][index_of[(nu, k)]] = col
+        if vec:
+            f_ops[i][index_of[(nu, k)]] = {index_of[(down, t)]: v
+                                           for t, v in vec.items()}
 
     rep = MatrixRep(datum, lam, basis, e_ops, f_ops)
     rep.validate()

@@ -76,6 +76,11 @@ def test_domain_error_exit_code(capsys):
     # an --out path that cannot be opened
     ["tensor", "--preset", "A2-sc", "--lhs", "1,0", "--rhs", "0,1",
      "--out", os.path.join(os.devnull, "x.json")],
+    # a dimension cap below 1
+    ["bk-verify", "--preset", "A2-sc", "--nu", "1,1", "--lambda", "0,0",
+     "--dim-cap", "-1"],
+    ["hom", "--preset", "A2-sc", "--source", "1,0", "--target", "1,0",
+     "--dim-cap", "0"],
 ])
 def test_malformed_argument_is_one_domain_error(capsys, argv):
     code, out, err = _capture(capsys, argv)

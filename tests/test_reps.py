@@ -1,12 +1,13 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from nilcone.errors import DomainError, ResourceError
 from nilcone.qpoly import QPoly
-from nilcone.roots import build_datum
+from nilcone.roots import build_datum, supported_presets
 from nilcone.characters import irreducible_character, weyl_dimension
 from nilcone.reps import (build_irrep, principal_e, centralizer_and_exponents,
                           bk_filtration, bk_profile_all_weights,
@@ -132,14 +133,28 @@ def test_bk_gr_total_dimension(a2):
         assert dims[-1] == p.total
 
 
-def test_bk_coefficient_independence(a2, b2):
+# (preset, highest weight) of every module of dimension <= 40
+_SMALL_MODULES = [
+    (name, lam) for name in supported_presets()
+    for lam in dominant_weights_with_dim_cap(build_datum(name), 40)]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(module=st.sampled_from(_SMALL_MODULES),
+       coeffs=st.lists(st.integers(-5, 5).filter(bool), min_size=3,
+                       max_size=3))
+@example(module=("A2-sc", (1, 1)), coeffs=[1, 2, 3])
+@example(module=("A2-sc", (2, 1)), coeffs=[1, 2, 3])
+@example(module=("B2-sc", (1, 1)), coeffs=[1, 2, 3])
+def test_bk_coefficient_independence(module, coeffs):
     # all principal nilpotents are conjugate: profiles are coefficient-free
-    for datum, lam in ((a2, (1, 1)), (a2, (2, 1)), (b2, (1, 1))):
-        rep = build_irrep(datum, lam)
-        coeffs = list(range(1, datum.rank + 1))
-        for w in rep.weight_spaces:
-            assert bk_filtration(rep, w).dims == \
-                bk_filtration(rep, w, coefficients=coeffs).dims
+    name, lam = module
+    datum = build_datum(name)
+    coeffs = coeffs[:datum.rank]  # no preset has rank above 3
+    rep = build_irrep(datum, lam)
+    for w in rep.weight_spaces:
+        assert bk_filtration(rep, w).dims == \
+            bk_filtration(rep, w, coefficients=coeffs).dims
 
 
 def test_verify_theorem_examples(a1_adj, a2):
@@ -202,6 +217,27 @@ def test_weight_space_dims_match_freudenthal(g2):
     for w, idxs in rep.weight_spaces.items():
         assert len(idxs) == char[w]
     assert rep.dim == weyl_dimension(g2, (0, 1)) == 7
+
+
+# SHA-256 of the sorted-key JSON exports of every module of dimension
+# <= 60, concatenated over supported_presets() in order (174 modules).  A
+# deliberate change of basis, such as integer matrix models, changes this
+# value: update it and record the change in CHANGES.md.
+_EXPORTS_UP_TO_60 = \
+    "a77812db5527c68d5e2734987c14ec386fc1c6ee9a3de173cc10132c313f4aea"
+
+
+def test_exports_are_byte_identical_up_to_dimension_60():
+    digest = hashlib.sha256()
+    count = 0
+    for name in supported_presets():
+        datum = build_datum(name)
+        for lam in dominant_weights_with_dim_cap(datum, 60):
+            export = build_irrep(datum, lam).to_json()
+            digest.update(json.dumps(export, sort_keys=True).encode())
+            count += 1
+    assert count == 174
+    assert digest.hexdigest() == _EXPORTS_UP_TO_60
 
 
 # -- the elimination routine against a plain Fraction Gauss-Jordan ------------
