@@ -60,44 +60,80 @@ def _dominant_weights_below(datum, lam):
 
 
 def weight_multiplicity(datum, lam, mu):
-    """dim of the mu weight space of V_lam, by the Freudenthal recursion."""
+    """dim of the mu weight space of V_lam, read from the one-pass
+    Freudenthal table of the dominant multiplicities of V_lam."""
     _require_dominant(datum, lam)
-    lam = tuple(lam)
     mu = datum.dominant_representative(tuple(mu))
-    return _mult_dominant(datum, lam, mu)
+    return _dominant_mults(datum, tuple(lam)).get(mu, 0)
 
 
 @lru_cache(maxsize=None)
-def _mult_dominant(datum, lam, mu):
-    if mu == lam:
-        return 1
-    diff = datum.root_coordinates(_vec_sub(lam, mu))
-    if diff is None or any(c < 0 for c in diff):
-        return 0
-    # denominator |lam+rho|^2 - |mu+rho|^2 = B(lam+mu+2rho, lam-mu)
-    lam_mu_2rho = tuple(a + b + r for a, b, r in zip(lam, mu, datum.two_rho))
-    denom = datum.inner_product_with_root_vector(lam_mu_2rho, diff)
-    if denom == 0:
-        return 0
-    total = 0
-    for root in datum.positive_roots():
-        # lam - (mu + k*root) stays a nonnegative root combination
-        remaining = diff
-        string = [mu]
-        while True:
-            remaining = tuple(a - b for a, b in zip(remaining, root.root_coords))
-            if any(c < 0 for c in remaining):
+def _dominant_mults(datum, lam):
+    """{mu: m(mu)} over the dominant weights mu of V_lam, by Freudenthal's
+    formula (Humphreys, GTM 9, §22.3) in one pass down <mu, 2rho-check>.
+
+    The formula sums m(mu + k alpha)(mu + k alpha, alpha) over alpha > 0 and
+    k >= 1, i.e. T(mu + alpha, alpha) with T(nu, beta) the sum over k >= 0
+    of m(nu + k beta)(nu + k beta, beta).  The string sum telescopes,
+    T(nu, beta) = m(nu)(nu, beta) + T(nu + beta, beta), and T(w nu, w beta)
+    = T(nu, beta) for w in W, so `tails` keys T on the dominant conjugate of
+    nu and the image of beta, and each (weight, root) pair costs O(1).
+    Every multiplicity T reads sits strictly higher in the pass.
+    """
+    mults = {}
+    tails = {}
+    for mu in sorted(_dominant_weights_below(datum, lam),
+                     key=datum.pair_2rho_check, reverse=True):
+        if mu == lam:
+            mults[mu] = 1
+            continue
+        total = sum(_tail(datum, mults, tails, _vec_add(mu, root.weight), root)
+                    for root in datum.positive_roots())
+        # denominator |lam+rho|^2 - |mu+rho|^2 = B(lam+mu+2rho, lam-mu)
+        lam_mu_2rho = tuple(a + b + r for a, b, r in zip(lam, mu, datum.two_rho))
+        denom = datum.inner_product_with_root_vector(
+            lam_mu_2rho, datum.root_coordinates(_vec_sub(lam, mu)))
+        value, remainder = divmod(2 * total, denom)
+        assert remainder == 0
+        mults[mu] = value
+    return mults
+
+
+def _tail(datum, mults, tails, nu, root):
+    """T(nu, root), walking up the root string only to the first point
+    whose T is known or that is no weight, above which none is: the string
+    through a weight is unbroken, and nu lies above one.  Iterative, so a
+    long string costs no recursion depth."""
+    pending = []
+    while True:
+        key = _dominant_key(datum, nu, root.weight)
+        total = tails.get(key)
+        if total is not None:
+            break
+        m = mults.get(key[0])
+        if m is None:
+            total = 0
+            break
+        pending.append(
+            (key, m * datum.inner_product_with_root_vector(nu, root.root_coords)))
+        nu = _vec_add(nu, root.weight)
+    for key, term in reversed(pending):
+        total += term
+        tails[key] = total
+    return total
+
+
+def _dominant_key(datum, nu, beta):
+    """(w nu, w beta) for the w that makes nu dominant, by the simple
+    reflections of `dominant_representative` applied to both."""
+    while True:
+        for i in range(datum.rank):
+            if datum.simple_pairing(nu, i) < 0:
+                nu = datum.reflect(nu, i)
+                beta = datum.reflect(beta, i)
                 break
-            string.append(_vec_add(string[-1], root.weight))
-        # from the top of the string down, so that each call finds the
-        # multiplicities above it memoised and the recursion stays shallow
-        for nu in reversed(string[1:]):
-            m = _mult_dominant(datum, lam, datum.dominant_representative(nu))
-            if m:
-                total += m * datum.inner_product_with_root_vector(nu, root.root_coords)
-    value, remainder = divmod(2 * total, denom)
-    assert remainder == 0
-    return value
+        else:
+            return nu, beta
 
 
 def irreducible_character(datum, lam):
@@ -115,10 +151,7 @@ def _character(datum, lam):
         char = {tuple(w): m for w, m in stored}
     else:
         char = {}
-        for dom in _dominant_weights_below(datum, lam):
-            m = _mult_dominant(datum, lam, dom)
-            if not m:
-                continue
+        for dom, m in _dominant_mults(datum, lam).items():
             for w in datum.weyl_orbit(dom):
                 char[w] = m
         cache.store(request, sorted([list(w), m] for w, m in char.items()))
@@ -165,7 +198,7 @@ def decompose_character(datum, char):
         if not datum.is_dominant(top) or mult < 0:
             raise DomainError("input is not the character of a representation")
         out[top] = mult
-        for w, m in irreducible_character(datum, top).items():
+        for w, m in _character(datum, top).items():
             if w in remaining:
                 remaining[w] -= mult * m
             else:
@@ -205,13 +238,21 @@ def restrict_to_levi(datum, subset, lam):
 
 
 def tensor_decompose_on(datum, entries_a, entries_b):
-    """Tensor product of two decompositions, summed with multiplicities."""
-    out = {}
-    for la, ma in entries_a.items():
-        for lb, mb in entries_b.items():
-            for nu, m in tensor_decompose(datum, la, lb).items():
-                out[nu] = out.get(nu, 0) + ma * mb * m
-    return {k: v for k, v in out.items() if v}
+    """Tensor product of two decompositions, summed with multiplicities:
+    each side's characters are summed, the two sums multiplied once and the
+    product decomposed once."""
+    sides = []
+    for entries in (entries_a, entries_b):
+        char = {}
+        for lam, mult in entries.items():
+            _require_dominant(datum, lam)
+            for w, m in _character(datum, tuple(lam)).items():
+                char[w] = char.get(w, 0) + mult * m
+        sides.append(char)
+    out = decompose_character(datum, multiply_characters(*sides))
+    total = sum(m * weyl_dimension(datum, nu) for nu, m in out.items())
+    assert total == sum(sides[0].values()) * sum(sides[1].values())
+    return out
 
 
 def restrict_decomposition(datum, subset, entries):

@@ -28,29 +28,42 @@ def q_kostant(datum, nu):
     return _q_kostant_coords(datum, coords, len(datum.positive_roots()) - 1)
 
 
+_STRIDE = 32
+
+
 def _q_kostant_coords(datum, coords, idx):
-    """q-Kostant count of root coordinates over the positive roots 0..idx.
+    """q-Kostant count P_idx(coords) of root coordinates over the positive
+    roots 0..idx.
 
     Callers start at the highest root, which prunes fastest.  The two base
     cases stay in front of the memo, which would otherwise hold thousands
-    of them.
+    of them.  The memo is first called at every _STRIDE-th point of the
+    alpha_idx-string through coords, from the bottom up, so that a miss
+    recurses at most _STRIDE steps down the string before it meets a
+    memoised point, however long the string is.
     """
     if not any(coords):
         return QPoly.one()
     if idx < 0:
         return QPoly.zero()
+    root = datum.positive_roots()[idx].root_coords
+    length = min(c // r for c, r in zip(coords, root) if r)
+    if length >= _STRIDE:
+        for k in range(length, 0, -_STRIDE):
+            _q_kostant(datum, tuple(c - k * r for c, r in zip(coords, root)),
+                       idx)
     return _q_kostant(datum, coords, idx)
 
 
 @lru_cache(maxsize=None)
 def _q_kostant(datum, coords, idx):
+    # the string sum telescopes: P_idx(c) = P_idx-1(c) + q P_idx(c - alpha_idx)
+    out = _q_kostant_coords(datum, coords, idx - 1)
     root = datum.positive_roots()[idx].root_coords
-    out = QPoly.zero()
-    k = 0
-    while all(c >= 0 for c in coords):
-        out = out + _q_kostant_coords(datum, coords, idx - 1).shifted(k)
-        coords = tuple(a - b for a, b in zip(coords, root))
-        k += 1
+    below = tuple(a - b for a, b in zip(coords, root))
+    if all(c >= 0 for c in below):
+        below = QPoly.one() if not any(below) else _q_kostant(datum, below, idx)
+        out = out + below.shifted(1)
     return out
 
 

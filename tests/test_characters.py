@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilcone.errors import DomainError
-from nilcone.roots import build_datum, supported_presets
+from nilcone.roots import _vec_add, _vec_sub, build_datum, supported_presets
 from nilcone.characters import (weight_multiplicity, irreducible_character,
                                 tensor_decompose, restrict_to_levi,
                                 levi_degree_shift, weyl_dimension,
@@ -308,3 +308,80 @@ def test_decompose_character_rejects_non_characters(preset, subset):
             decompose_character(levi, bad)
         with pytest.raises(DomainError):
             _reference_decompose(levi, bad)
+
+
+# -- the one-pass Freudenthal table and the one-product branching --------------
+
+def _reference_mult(datum, lam, mu, memo):
+    """m(mu) for dominant mu by the per-weight Freudenthal recursion, which
+    walks every root string above mu term by term from its top down."""
+    if mu == lam:
+        return 1
+    diff = datum.root_coordinates(_vec_sub(lam, mu))
+    if diff is None or any(c < 0 for c in diff):
+        return 0
+    if mu not in memo:
+        lam_mu_2rho = tuple(a + b + r
+                            for a, b, r in zip(lam, mu, datum.two_rho))
+        denom = datum.inner_product_with_root_vector(lam_mu_2rho, diff)
+        total = 0
+        for root in datum.positive_roots():
+            remaining = diff
+            string = [mu]
+            while True:
+                remaining = tuple(a - b
+                                  for a, b in zip(remaining, root.root_coords))
+                if any(c < 0 for c in remaining):
+                    break
+                string.append(_vec_add(string[-1], root.weight))
+            for nu in reversed(string[1:]):
+                m = _reference_mult(datum, lam,
+                                    datum.dominant_representative(nu), memo)
+                total += m * datum.inner_product_with_root_vector(
+                    nu, root.root_coords)
+        value, remainder = divmod(2 * total, denom)
+        assert remainder == 0
+        memo[mu] = value
+    return memo[mu]
+
+
+@pytest.mark.parametrize("preset", supported_presets())
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(pairing=st.lists(st.integers(0, 3), min_size=3, max_size=3))
+def test_freudenthal_table_matches_per_weight_recursion(preset, pairing):
+    datum = build_datum(preset)
+    if preset == "A3-sc":
+        pairing = [min(c, 2) for c in pairing]
+    try:
+        lam = datum.weight_from_pairing(pairing[:datum.rank])
+    except DomainError:
+        return
+    memo = {}
+    char = irreducible_character(datum, lam)
+    for mu in char:
+        if datum.is_dominant(mu):
+            assert char[mu] == weight_multiplicity(datum, lam, mu) == \
+                _reference_mult(datum, lam, mu, memo), mu
+
+
+@pytest.mark.parametrize("subset", [None, (), (0,), (1,)])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(sides=st.tuples(*[st.lists(st.tuples(_BOX, st.integers(0, 2)),
+                                  max_size=3)] * 2))
+def test_tensor_decompose_on_matches_pairwise_sum(subset, sides):
+    datum, levi = _datum_and_levi("A2-sc", subset)
+    entries = []
+    for terms in sides:
+        side = {}
+        for inside, mult in terms:
+            lam = _weight(datum, levi, inside, (1, 2, 0))
+            if lam is not None:
+                side[lam] = side.get(lam, 0) + mult
+        entries.append(side)
+    pairwise = {}
+    for la, ma in entries[0].items():
+        for lb, mb in entries[1].items():
+            for nu, m in tensor_decompose(levi, la, lb).items():
+                pairwise[nu] = pairwise.get(nu, 0) + ma * mb * m
+    assert tensor_decompose_on(levi, *entries) == \
+        {nu: m for nu, m in pairwise.items() if m}

@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nilcone.errors import DomainError
 from nilcone.qpoly import QPoly
-from nilcone.roots import build_datum
+from nilcone.roots import build_datum, supported_presets
 from nilcone.characters import weight_multiplicity, irreducible_character
 from nilcone.qanalog import (q_kostant, lusztig_q_analog, p_bk_polynomial,
                              graded_mult_in_nilcone, hilbert_series_nilcone,
@@ -60,6 +63,92 @@ def test_q_one_specialization(preset, bound):
         off = tuple(c + 7 for c in lam)
         if off not in char:
             assert lusztig_q_analog(datum, lam, off).at_one() == 0
+
+
+def _q_one_cases():
+    """(preset, pairing coordinates of a dominant lam): each coordinate at
+    most 3, and at most 2 on A3-sc."""
+    return st.one_of(*[
+        st.tuples(st.just(preset),
+                  st.tuples(*[st.integers(0, 2 if preset == "A3-sc" else 3)]
+                            * build_datum(preset).rank))
+        for preset in supported_presets()])
+
+
+def _off_lattice(datum):
+    """A shift off the root lattice: the first unit vector off it, or half
+    of one where the weight basis is the root basis."""
+    for k in range(datum.weight_dim):
+        unit = tuple(int(i == k) for i in range(datum.weight_dim))
+        if datum.root_coordinates(unit) is None:
+            return unit
+    return (Fraction(1, 2),) + (0,) * (datum.weight_dim - 1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=_q_one_cases(), pick=st.integers(0, 10 ** 6))
+# the largest highest weights of test_q_one_specialization's sweeps
+@example(case=("A1-sc", (4,)), pick=0)
+@example(case=("A1-adj", (4,)), pick=1)
+@example(case=("A2-sc", (3, 3)), pick=2)
+@example(case=("B2-sc", (3, 3)), pick=3)
+def test_q_one_specialization_property(case, pick):
+    preset, pairing = case
+    datum = build_datum(preset)
+    try:
+        lam = datum.weight_from_pairing(pairing)
+    except DomainError:
+        return
+    weights = sorted(irreducible_character(datum, lam))
+    mu = weights[pick % len(weights)]
+    off_support = tuple(a + b for a, b in zip(lam, datum.highest_root().weight))
+    off_lattice = tuple(a + b for a, b in zip(mu, _off_lattice(datum)))
+    for probe in (mu, off_support, off_lattice):
+        assert lusztig_q_analog(datum, lam, probe).at_one() == \
+            weight_multiplicity(datum, lam, probe), probe
+    assert weight_multiplicity(datum, lam, mu) > 0
+    assert weight_multiplicity(datum, lam, off_support) == 0
+    assert weight_multiplicity(datum, lam, off_lattice) == 0
+
+
+def _string_sum_q_kostant(datum, coords, idx, memo):
+    """The q-Kostant count of root coordinates over the positive roots
+    0..idx as the full sum down the root-idx string, term by term."""
+    if not any(coords):
+        return QPoly.one()
+    if idx < 0:
+        return QPoly.zero()
+    if (coords, idx) not in memo:
+        root = datum.positive_roots()[idx].root_coords
+        out = QPoly.zero()
+        point, k = coords, 0
+        while all(c >= 0 for c in point):
+            out = out + _string_sum_q_kostant(datum, point, idx - 1,
+                                              memo).shifted(k)
+            point = tuple(a - b for a, b in zip(point, root))
+            k += 1
+        memo[coords, idx] = out
+    return memo[coords, idx]
+
+
+@pytest.mark.parametrize("preset", supported_presets())
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(coords=st.lists(st.integers(0, 12), min_size=3, max_size=3))
+@example(coords=[70, 0, 0])     # a string past the memo's fill stride
+def test_q_kostant_matches_string_sum(preset, coords):
+    datum = build_datum(preset)
+    coords = tuple(coords[:datum.rank])
+    nu = tuple(sum(c * root[k] for c, root in zip(coords, datum.simple_roots))
+               for k in range(datum.weight_dim))
+    expected = _string_sum_q_kostant(datum, coords,
+                                     len(datum.positive_roots()) - 1, {})
+    assert q_kostant(datum, nu) == expected
+
+
+def test_long_strings_need_no_deep_recursion(a1):
+    # tens of thousands of string points, far past the recursion limit
+    assert q_kostant(a1, (40000,)) == QPoly({20000: 1})
+    assert weight_multiplicity(a1, (8000,), (0,)) == 1
 
 
 @pytest.mark.parametrize("preset", ["A1-adj", "A2-sc", "B2-sc"])

@@ -383,6 +383,19 @@ def test_route_sides_bind_no_foreign_elimination():
         bound = [name for name, value in vars(module).items()
                  if any(value is fn for fn in foreign)]
         assert not bound, (module.__name__, bound)
+    # the q-analog side of the q = 1 check reaches no Freudenthal character,
+    # and the character side nothing of the q-analogs
+    characters_side = {nilcone.characters.weight_multiplicity,
+                       nilcone.characters.irreducible_character,
+                       nilcone.characters._character,
+                       nilcone.characters._dominant_mults}
+    bound = [name for name, value in vars(nilcone.qanalog).items()
+             if any(value is fn for fn in characters_side)]
+    assert not bound, bound
+    bound = [name for name, value in vars(nilcone.characters).items()
+             if value is nilcone.qanalog
+             or getattr(value, "__module__", None) == "nilcone.qanalog"]
+    assert not bound, bound
 
 
 def test_every_memo_is_an_lru_cache(a2):
@@ -422,7 +435,8 @@ def test_weyl_character_oracle_stays_independent():
         names.update(code.co_names)
         codes.extend(c for c in code.co_consts if hasattr(c, "co_names"))
     foreign = {"decompose_character", "heapq", "weyl_dimension",
-               "_peel_entry", "irreducible_character", "_mult_dominant"}
+               "_peel_entry", "irreducible_character", "_dominant_mults",
+               "_tail", "_dominant_key"}
     assert not names & foreign, sorted(names & foreign)
 
 

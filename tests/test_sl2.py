@@ -82,6 +82,8 @@ def test_convolution_recursion_matches_closed_form():
     for m in range(-40, 42, 2):
         for k in range(0, 42, 2):
             assert convolve_ic(m, k) == convolve_ic_recursive(m, k), (m, k)
+    # a long descent, whose base cases are A1-adj characters of large labels
+    assert convolve_ic_recursive(-400, 0) == convolve_ic(-400, 0)
 
 
 def test_convolution_two_proof_expansions_agree():
