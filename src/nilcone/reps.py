@@ -5,12 +5,13 @@ highest-weight vector: the candidates for a basis of V(mu) are the vectors
 f_i b with b in the basis of V(mu + alpha_i).  In an irreducible module no
 nonzero vector of weight mu below the highest weight is killed by every e_j
 (it would generate a proper submodule), so candidates are independent
-exactly when their e-images in the spaces V(mu + alpha_j) are: one
-elimination of those images picks the basis, and a candidate's coordinates
-over it are those of its e-image.  Operator entries are Fractions; the
-linear algebra (the basis choice, solves, ranks, the centralizer kernel,
-the kernel filtration rows) goes through one fraction-free integer
-elimination, :func:`_eliminate`.
+exactly when their e-images in the spaces V(mu + alpha_j) are, and a
+candidate's coordinates over the basis are those of its e-image.  So one
+elimination of those images per weight space gives both the basis and every
+candidate's coordinates, read off its kernel (:func:`fraction_solve`).
+Operator entries are Fractions; the linear algebra (the basis choice and
+coordinates, ranks, the centralizer kernel, the kernel filtration rows)
+goes through one fraction-free integer elimination, :func:`_eliminate`.
 
 Kernel filtrations of the principal nilpotent e come from one top-down pass
 over the principal-degree layers (:func:`_layer_rows`), whose labelled rows
@@ -31,7 +32,7 @@ from math import gcd
 
 from .errors import DomainError, ResourceError
 from .qpoly import QPoly, product_truncated
-from .roots import _vec_add, _vec_sub
+from .roots import _vec_add
 from .characters import (irreducible_character, weyl_dimension,
                          _require_dominant)
 
@@ -130,7 +131,8 @@ def _eliminate(columns, nrows=None):
     With nrows, rational columns over range(nrows) are made primitive and
     column j carries a marker 1 at row nrows + j; a column that reduces to
     zero above the markers leaves its marker part, a kernel vector of ints,
-    and these vectors form a kernel basis.
+    and these vectors form a kernel basis.  Column j's vector is nonzero at
+    j and otherwise supported on the kept columns before j.
     """
     ncols = len(columns)
     if nrows is not None:
@@ -166,16 +168,28 @@ def int_columns_rank(columns):
     return len(_eliminate(columns)[0])
 
 
-def fraction_solve(matrix, rhs):
-    """Solve the invertible square system matrix * x = rhs exactly."""
-    n = len(matrix)
-    columns = [{r: matrix[r][j] for r in range(n) if matrix[r][j]}
-               for j in range(n)]
-    columns.append({r: -rhs[r] for r in range(n) if rhs[r]})
-    # the kernel of [matrix | -rhs] is spanned by (x, 1)
-    kept, kernel = _eliminate(columns, n)
-    assert len(kept) == n and kernel[0][n], "singular matrix"
-    return [Fraction(x, kernel[0][n]) for x in kernel[0][:n]]
+def fraction_solve(columns, nrows):
+    """A basis among rational columns over range(nrows), and every column's
+    coordinates over it, from one elimination; returns (kept, coords).
+
+    kept lists the indices of the columns _eliminate keeps, the first ones
+    spanning all of them.  coords[j] maps positions t in kept to Fractions
+    x[t] with columns[j] = sum_t x[t] columns[kept[t]]: a unit vector for a
+    kept column, and -v[k] / v[j] at the position of k for a dependent one,
+    v being its kernel vector.
+    """
+    kept, kernel = _eliminate(columns, nrows)
+    pos = {j: t for t, j in enumerate(kept)}
+    kernel = iter(kernel)  # one vector per dependent column, in order
+    coords = []
+    for j in range(len(columns)):
+        if j in pos:
+            coords.append({pos[j]: Fraction(1)})
+        else:
+            v = next(kernel)
+            coords.append({pos[k]: Fraction(-x, v[j])
+                           for k, x in enumerate(v) if x and k != j})
+    return list(kept), coords
 
 
 # -- the representation object ------------------------------------------------
@@ -272,72 +286,46 @@ def _build_irrep(datum, lam):
     char = irreducible_character(datum, lam)
     rank = datum.rank
     simple = datum.simple_roots
-    levels = {}
-    for w in char:
-        lv = datum.height(_vec_sub(lam, w))
-        levels.setdefault(lv, []).append(w)
-
-    # sparse coords: {index at the target weight: coeff}
-    f_cols = {}  # (i, weight, index) -> coords at weight - alpha_i
-    e_cols = {}  # (j, weight, index) -> coords at weight + alpha_j
-    for lv in sorted(levels)[1:]:
-        for mu in sorted(levels[lv]):
-            # rows of the e-images: (j, index in the basis of mu + alpha_j)
-            rows = [(j, r) for j in range(rank)
-                    for r in range(char.get(_vec_add(mu, simple[j]), 0))]
-            row_of = {jr: n for n, jr in enumerate(rows)}
-            cands = []  # f_i b_k for each basis vector b_k of mu + alpha_i
-            for i in range(rank):
-                nu = _vec_add(mu, simple[i])
-                cands += [(i, nu, k) for k in range(char.get(nu, 0))]
-            columns = []  # the e-image of each candidate
-            for i, nu, k in cands:
-                # e_j f_i b = f_i e_j b + delta_ij h_i b
-                col = {row_of[(i, k)]: Fraction(datum.simple_pairing(nu, i))}
-                for j in range(rank):
-                    over = _vec_add(nu, simple[j])
-                    for t, c in e_cols.get((j, nu, k), {}).items():
-                        for r, v in f_cols.get((i, over, t), {}).items():
-                            n = row_of[(j, r)]
-                            col[n] = col.get(n, 0) + c * v
-                columns.append({n: v for n, v in col.items() if v})
-            # no nonzero vector below lam is killed by every e_j, so the
-            # first candidates with independent e-images are a basis
-            kept, _ = _eliminate(columns, len(rows))
-            assert len(kept) == char[mu], \
-                "could not span weight space %r of V_%r" % (mu, lam)
-            pivots = [min(col) for col in kept.values()]
-            square = [[columns[ci].get(p, 0) for ci in kept] for p in pivots]
-            # a candidate's coords over the basis are those of its e-image,
-            # fixed by the rows where the selected e-images have their pivots
-            for ci, cand in enumerate(cands):
-                coords = fraction_solve(
-                    square, [columns[ci].get(p, 0) for p in pivots])
-                f_cols[cand] = {t: x for t, x in enumerate(coords) if x}
-            for pos, ci in enumerate(kept):
-                for n, v in columns[ci].items():
-                    j, r = rows[n]
-                    e_cols.setdefault((j, mu, pos), {})[r] = v
-
-    # global basis: sorted by descending principal degree, then weight, then slot
-    weight_order = sorted(char, key=lambda w: (-datum.pair_2rho_check(w), w))
+    # the basis in its final order: descending principal degree, then weight,
+    # then slot; every mu + alpha_j comes before mu, so the build can go
+    # down it in this order and write the operators in final indices
+    order = sorted(char, key=lambda w: (-datum.pair_2rho_check(w), w))
     basis = []
-    for w in weight_order:
-        for k in range(char[w]):
-            basis.append((w, k))
-    index_of = {bk: i for i, bk in enumerate(basis)}
+    slots = {}  # weight -> its basis indices
+    for w in order:
+        slots[w] = range(len(basis), len(basis) + char[w])
+        basis += [(w, k) for k in range(char[w])]
 
-    e_ops = [dict() for _ in range(rank)]
-    f_ops = [dict() for _ in range(rank)]
-    for (j, mu, k), vec in e_cols.items():
-        up = _vec_add(mu, simple[j])
-        e_ops[j][index_of[(mu, k)]] = {index_of[(up, t)]: v
-                                       for t, v in vec.items()}
-    for (i, nu, k), vec in f_cols.items():
-        down = _vec_sub(nu, simple[i])
-        if vec:
-            f_ops[i][index_of[(nu, k)]] = {index_of[(down, t)]: v
-                                           for t, v in vec.items()}
+    e_ops = [{} for _ in range(rank)]
+    f_ops = [{} for _ in range(rank)]
+    for mu in order[1:]:
+        ups = [slots.get(_vec_add(mu, simple[j]), ()) for j in range(rank)]
+        # f_i b for each basis vector b of mu + alpha_i, and its e-image,
+        # whose rows are the basis indices of the spaces mu + alpha_j
+        cands = [(i, b) for i in range(rank) for b in ups[i]]
+        columns = []
+        for i, b in cands:
+            # e_j f_i b = f_i e_j b + delta_ij h_i b
+            col = {b: Fraction(datum.simple_pairing(basis[b][0], i))}
+            for e in e_ops:
+                for t, c in e.get(b, {}).items():
+                    for r, v in f_ops[i].get(t, {}).items():
+                        col[r] = col.get(r, 0) + c * v
+            columns.append({r: v for r, v in col.items() if v})
+        # no nonzero vector below lam is killed by every e_j, so the first
+        # candidates with independent e-images are a basis, and every
+        # candidate's coords over it are those of its e-image
+        kept, coords = fraction_solve(columns, len(basis))
+        assert len(kept) == char[mu], \
+            "could not span weight space %r of V_%r" % (mu, lam)
+        for (i, b), x in zip(cands, coords):
+            if x:
+                f_ops[i][b] = {slots[mu][t]: v for t, v in x.items()}
+        for g, ci in zip(slots[mu], kept):
+            for j in range(rank):
+                image = {r: columns[ci][r] for r in ups[j] if r in columns[ci]}
+                if image:
+                    e_ops[j][g] = image
 
     rep = MatrixRep(datum, lam, basis, e_ops, f_ops)
     rep.validate()

@@ -175,7 +175,7 @@ class RootDatum:
                 if d[i] * a[i][j] != d[j] * a[j][i]:
                     raise ConfigurationError("symmetrizer does not symmetrize")
         # positive definiteness of the symmetrized matrix via leading minors
-        sym = [[Fraction(d[i] * a[i][j]) for j in range(n)] for i in range(n)]
+        sym = [[d[i] * a[i][j] for j in range(n)] for i in range(n)]
         for k in range(1, n + 1):
             if _det([row[:k] for row in sym[:k]]) <= 0:
                 raise ConfigurationError("Cartan symmetrization not positive definite")
@@ -416,28 +416,11 @@ class RootDatum:
 
 
 def _det(mat):
-    """Determinant over Fraction, by elimination (small matrices only)."""
-    m = [list(map(Fraction, row)) for row in mat]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return det
+    """Determinant of a small integer matrix, by cofactor expansion."""
+    if not mat:
+        return 1
+    return sum((-1) ** j * a * _det([row[:j] + row[j + 1:] for row in mat[1:]])
+               for j, a in enumerate(mat[0]) if a)
 
 
 def _adjugate(mat):
@@ -446,9 +429,9 @@ def _adjugate(mat):
 
     def cofactor(i, j):
         minor = [row[:j] + row[j + 1:] for k, row in enumerate(mat) if k != i]
-        return (-1) ** (i + j) * int(_det(minor))
+        return (-1) ** (i + j) * _det(minor)
     adj = tuple(tuple(cofactor(j, i) for j in range(n)) for i in range(n))
-    return adj, int(_det(mat))
+    return adj, _det(mat)
 
 
 def _integral_solution(inverse, v):

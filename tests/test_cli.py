@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilcone.cli import run, SCHEMA
+from nilcone.roots import supported_presets
 
 
 def _capture(capsys, argv):
@@ -162,3 +166,103 @@ def test_cache_dir_round_trip(tmp_path, capsys, monkeypatch):
         f.write_text("{not json")
     _, third, _ = _capture(capsys, argv)
     assert first == third
+
+
+# -- argument fuzz --------------------------------------------------------------
+
+# Pairing coordinates stay in [-1, 2] and truncations at most 6, so that no
+# character-only route, which has no size cap yet, runs long.
+_BAD_WEIGHTS = st.one_of(
+    st.lists(st.integers(-1, 2), max_size=4).map(
+        lambda cs: ",".join(map(str, cs))),
+    st.sampled_from(["x", "1,,0", "1.5", " ", "0;0"]))
+
+
+def _mostly(draw, good, bad):
+    """Draw from good, and from bad about one time in six."""
+    return draw(bad if draw(st.integers(0, 5)) == 0 else good)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from([
+        "roots", "tensor", "branch", "qanalog", "bk-verify", "hom", "hilbert",
+        "poincare", "sl2-table", "sl2-profile", "bogus"]))
+    preset = _mostly(draw, st.sampled_from(supported_presets()),
+                     st.sampled_from(["Z9", "A4-sc", ""]))
+    rank = int(preset[1]) if preset[1:2].isdigit() else 1
+
+    def weight():
+        return _mostly(draw, st.lists(st.integers(0, 2), min_size=rank,
+                                      max_size=rank).map(
+                           lambda cs: ",".join(map(str, cs))),
+                       _BAD_WEIGHTS)
+
+    def free_object():
+        return ";".join(weight() + _mostly(
+            draw, st.sampled_from(["", "@0", "@-2", "@1"]), st.just("@x"))
+            for _ in range(draw(st.integers(0, 2))))
+
+    def truncation():
+        return _mostly(draw, st.integers(0, 6).map(str),
+                       st.sampled_from(["-1", "x", ""]))
+
+    options = {
+        "roots": lambda: {},
+        "tensor": lambda: {"--lhs": weight(), "--rhs": weight()},
+        "branch": lambda: {"--subset": draw(st.sampled_from(
+                               ["", "0", "1", "0,1", "5", "x"])),
+                           "--weight": weight()},
+        "qanalog": lambda: {"--lambda": weight(), "--mu": weight()},
+        # a cap of at most 1 keeps every module build small
+        "bk-verify": lambda: {"--nu": weight(), "--lambda": weight(),
+                              "--dim-cap": _mostly(draw, st.just("1"),
+                                                   st.sampled_from(
+                                                       ["0", "-1", "x"]))},
+        "hom": lambda: {"--source": free_object(),
+                        "--target": free_object(),
+                        "--route": _mostly(draw, st.sampled_from(
+                            ["kostant", "slice", "both"]), st.just("x")),
+                        "--dim-cap": _mostly(draw, st.just("1"),
+                                             st.sampled_from(["0", "-1"]))},
+        "hilbert": lambda: {"--truncation": truncation()},
+        "poincare": lambda: {"--truncation": truncation()},
+        "sl2-table": lambda: {
+            "--object": _mostly(draw, st.sampled_from(
+                ["delta", "nabla", "proj", "standard"]), st.just("x")),
+            "--labels": ",".join(map(str, draw(st.lists(
+                st.integers(-6, 6), max_size=3))))},
+        "sl2-profile": lambda: {
+            "--k": _mostly(draw, st.sampled_from(["-4", "-2", "0", "2", "4"]),
+                           st.sampled_from(["-3", "1", "x"])),
+            "--window": _mostly(draw, st.sampled_from(["-6:0", "0:2", "-2:-4"]),
+                                st.sampled_from(["3", "a:b", "1:2:3"]))},
+    }.get(command, lambda: {})()
+    if not command.startswith("sl2"):
+        options["--preset"] = preset
+    options["--output"] = _mostly(draw, st.sampled_from(["json", "tsv"]),
+                                  st.just("xml"))
+    argv = [command]
+    for flag, value in options.items():
+        # a flag is sometimes left out, but the cap never
+        if flag == "--dim-cap" or draw(st.integers(0, 9)):
+            argv.append("%s=%s" % (flag, value))
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(["--bogus", "extra", "--out"])))
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_argv())
+def test_argument_fuzz_exits_with_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    if code == 0:
+        assert not err, (argv, err)
+    else:
+        kind = "domain" if code == 1 else "resource"
+        assert err.startswith("error\t%s\t" % kind), (argv, err)
+        assert err.count("\n") == 1, (argv, err)

@@ -219,6 +219,25 @@ def test_weight_space_dims_match_freudenthal(g2):
     assert rep.dim == weyl_dimension(g2, (0, 1)) == 7
 
 
+@pytest.mark.parametrize("preset,coords", [("B2-sc", (1, 1)), ("G2", (1, 0))])
+def test_one_elimination_per_weight_space(preset, coords, monkeypatch):
+    """An uncached build picks each weight space's basis and every
+    candidate's coordinates over it with one elimination, and makes no
+    other."""
+    import nilcone.reps
+    datum = build_datum(preset)
+    lam = datum.weight_from_pairing(coords)
+    calls = []
+    eliminate = nilcone.reps._eliminate
+
+    def counted(*args):
+        calls.append(args)
+        return eliminate(*args)
+    monkeypatch.setattr(nilcone.reps, "_eliminate", counted)
+    rep = nilcone.reps._build_irrep.__wrapped__(datum, lam)
+    assert len(calls) == len(rep.weight_spaces) - 1 > 1
+
+
 # SHA-256 of the sorted-key JSON exports of every module of dimension
 # <= 60, concatenated over supported_presets() in order (174 modules).  A
 # deliberate change of basis, such as integer matrix models, changes this
@@ -341,10 +360,29 @@ def test_kept_columns_span_each_prefix(matrix):
 def test_fraction_solve_matches_reference(system):
     matrix, rhs = system
     n = len(matrix)
-    rref, pivots = _gauss_jordan([row + [b] for row, b in zip(matrix, rhs)],
-                                 n)
+    rows = [row + [b] for row, b in zip(matrix, rhs)]
+    rref, pivots = _gauss_jordan(rows, n)
     assume(len(pivots) == n)
-    assert fraction_solve(matrix, rhs) == [row[n] for row in rref]
+    kept, coords = fraction_solve(_sparse_columns(rows, n + 1), n)
+    assert kept == list(range(n))
+    assert [coords[n].get(t, 0) for t in range(n)] == [row[n] for row in rref]
+
+
+@_SETTINGS
+@given(_matrices(_entries))
+def test_fraction_solve_coordinates_rebuild_every_column(matrix):
+    """One elimination gives the reference's pivot columns and, exactly,
+    every column's coordinates over them."""
+    rows, ncols = matrix
+    columns = _sparse_columns(rows, ncols)
+    kept, coords = fraction_solve(columns, len(rows))
+    assert kept == _gauss_jordan(rows, ncols)[1]
+    for col, x in zip(columns, coords):
+        rebuilt = {}
+        for t, v in x.items():
+            for r, a in columns[kept[t]].items():
+                rebuilt[r] = rebuilt.get(r, 0) + v * a
+        assert {r: v for r, v in rebuilt.items() if v} == col
 
 
 @_SETTINGS
