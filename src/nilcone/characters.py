@@ -3,25 +3,42 @@ product decomposition and branching to Levi subgroups.
 
 A character is a dict mapping weight tuples to integer multiplicities.
 Decompositions are dicts mapping dominant weight tuples to nonnegative
-multiplicities.  Tensor products and branching both go through the same
-peel-off loop on characters: multiply (or restrict), then repeatedly strip
-the character of the largest remaining dominant weight.
+multiplicities.  Tensor products, branching and decomposition all go through
+one Brauer-Klimyk rule (`_brauer`): for a W-invariant chi,
+ch V_lam * chi = sum over the weights nu of chi of chi(nu) sign(w)
+ch V_{w.(lam + nu)}, so no product character is built and no constituent's
+character is expanded.
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from functools import lru_cache
 
 from . import cache
 from .errors import DomainError
-from .roots import _dot, _vec_add, _vec_sub
+from .roots import _dot, _vec_add, _vec_scale, _vec_sub
+
+
+def _require_weight(datum, weight):
+    """A weight is weight_dim exact entries: ints, or Fractions for a vector
+    off the lattice, where every multiplicity and q-analog is 0."""
+    if len(weight) != datum.weight_dim or not all(
+            isinstance(c, (int, Fraction)) for c in weight):
+        raise DomainError("weight %r is not %d exact coordinates for %s"
+                          % (weight, datum.weight_dim, datum.name))
 
 
 def _require_dominant(datum, weight):
-    if not datum.is_dominant(weight):
-        raise DomainError("weight %r is not dominant for %s" % (weight, datum.name))
+    """DomainError unless weight is a dominant weight of ints.  Every hot
+    path runs this check, so _require_weight, which gives a malformed
+    weight its own message, runs only on failure."""
+    if len(weight) != datum.weight_dim or not all(
+            isinstance(c, int) for c in weight) \
+            or not datum.is_dominant(weight):
+        _require_weight(datum, weight)
+        raise DomainError("weight %r is not a dominant lattice weight for %s"
+                          % (weight, datum.name))
 
 
 def weyl_dimension(datum, lam):
@@ -63,6 +80,7 @@ def weight_multiplicity(datum, lam, mu):
     """dim of the mu weight space of V_lam, read from the one-pass
     Freudenthal table of the dominant multiplicities of V_lam."""
     _require_dominant(datum, lam)
+    _require_weight(datum, mu)
     mu = datum.dominant_representative(tuple(mu))
     return _dominant_mults(datum, tuple(lam)).get(mu, 0)
 
@@ -144,28 +162,38 @@ def irreducible_character(datum, lam):
 
 @lru_cache(maxsize=None)
 def _character(datum, lam):
-    request = {"op": "irreducible_character", "preset": datum.name,
-               "weight": list(lam)}
-    stored = cache.fetch(request)
-    if stored is not None:
-        char = {tuple(w): m for w, m in stored}
-    else:
+    request = {"op": "irreducible_character", "format": 1,
+               "preset": datum.name, "weight": list(lam)}
+    dim = weyl_dimension(datum, lam)
+    char = _stored_character(datum, cache.fetch(request), dim)
+    if char is None:
         char = {}
         for dom, m in _dominant_mults(datum, lam).items():
             for w in datum.weyl_orbit(dom):
                 char[w] = m
         cache.store(request, sorted([list(w), m] for w, m in char.items()))
-    assert sum(char.values()) == weyl_dimension(datum, lam)
+    assert sum(char.values()) == dim
     return char
 
 
-def multiply_characters(a, b):
-    out = {}
-    for wa, ma in a.items():
-        for wb, mb in b.items():
-            w = _vec_add(wa, wb)
-            out[w] = out.get(w, 0) + ma * mb
-    return {w: m for w, m in out.items() if m}
+def _stored_character(datum, stored, dim):
+    """The character in a disk-cache value, or None unless the value is a
+    list of [weight of weight_dim ints, positive int] at distinct weights
+    whose multiplicities add up to dim."""
+    if not isinstance(stored, list):
+        return None
+    char = {}
+    for entry in stored:
+        if not (isinstance(entry, list) and len(entry) == 2
+                and isinstance(entry[0], list)
+                and len(entry[0]) == datum.weight_dim
+                and all(type(c) is int for c in entry[0])
+                and type(entry[1]) is int and entry[1] > 0):
+            return None
+        char[tuple(entry[0])] = entry[1]
+    if len(char) != len(stored) or sum(char.values()) != dim:
+        return None
+    return char
 
 
 def _peel_key(datum, weight):
@@ -173,50 +201,54 @@ def _peel_key(datum, weight):
     return (datum.pair_2rho_check(weight), weight)
 
 
-def _peel_entry(datum, weight):
-    # heap entry: the smallest entry is the weight with the largest _peel_key
-    return (-datum.pair_2rho_check(weight), tuple(-c for c in weight), weight)
+def _dot_dominant(datum, weight):
+    """(sign(w), w.weight) for the w whose dot action makes weight dominant,
+    or None when weight + rho lies on a wall.  <rho, alpha_i-check> = 1
+    (Humphreys, GTM 9, §13.3), so s_i.weight = weight - c alpha_i with
+    c = <weight, alpha_i-check> + 1, and no rho vector is needed."""
+    sign = 1
+    while True:
+        for i in range(datum.rank):
+            c = datum.simple_pairing(weight, i) + 1
+            if c == 0:
+                return None
+            if c < 0:
+                weight = _vec_sub(weight, _vec_scale(c, datum.simple_roots[i]))
+                sign = -sign
+                break
+        else:
+            return sign, weight
+
+
+def _brauer(datum, entries, char):
+    """sum of mult * ch V_lam * char over (lam, mult) in entries, as a
+    decomposition, for a W-invariant char, by the Brauer-Klimyk rule: each
+    weight nu of char adds char(nu) sign(w) at w.(lam + nu).  The nonzero
+    entries come in descending _peel_key order."""
+    out = {}
+    for lam, mult in entries.items():
+        for nu, m in char.items():
+            found = _dot_dominant(datum, _vec_add(lam, nu))
+            if found is not None:
+                sign, top = found
+                out[top] = out.get(top, 0) + sign * mult * m
+    if any(m < 0 for m in out.values()):
+        raise DomainError("input is not the character of a representation")
+    return {w: out[w] for w in sorted(out, key=lambda w: _peel_key(datum, w),
+                                      reverse=True) if out[w]}
 
 
 def decompose_character(datum, char):
-    """Write a character as a sum of irreducibles of `datum`.
-
-    Repeatedly strips the largest remaining weight, which must be dominant
-    when the input really is a character of a representation.  A weight
-    enters the heap once, when it first appears; one whose multiplicity has
-    gone to zero stays in `remaining` as 0 and is skipped when popped.
-    """
-    remaining = {w: m for w, m in char.items() if m}
-    heap = [_peel_entry(datum, w) for w in remaining]
-    heapq.heapify(heap)
-    out = {}
-    while heap:
-        top = heapq.heappop(heap)[2]
-        mult = remaining[top]
-        if not mult:
-            continue
-        if not datum.is_dominant(top) or mult < 0:
-            raise DomainError("input is not the character of a representation")
-        out[top] = mult
-        for w, m in _character(datum, top).items():
-            if w in remaining:
-                remaining[w] -= mult * m
-            else:
-                remaining[w] = -mult * m
-                heapq.heappush(heap, _peel_entry(datum, w))
-    return out
+    """Write a character as a sum of irreducibles of `datum`; DomainError
+    unless it is W-invariant and every constituent comes out nonnegative."""
+    if not is_representation_character(datum, char):
+        raise DomainError("input is not the character of a representation")
+    return _brauer(datum, {(0,) * datum.weight_dim: 1}, char)
 
 
 def tensor_decompose(datum, lam, mu):
     """Multiplicities of each V_nu inside V_lam tensor V_mu."""
-    _require_dominant(datum, lam)
-    _require_dominant(datum, mu)
-    prod = multiply_characters(irreducible_character(datum, lam),
-                               irreducible_character(datum, mu))
-    out = decompose_character(datum, prod)
-    total = sum(m * weyl_dimension(datum, nu) for nu, m in out.items())
-    assert total == weyl_dimension(datum, lam) * weyl_dimension(datum, mu)
-    return out
+    return tensor_decompose_on(datum, {tuple(lam): 1}, {tuple(mu): 1})
 
 
 def dual_weight(datum, lam):
@@ -230,8 +262,8 @@ def restrict_to_levi(datum, subset, lam):
     """Decompose V_lam over the Levi spanned by the given simple indices."""
     _require_dominant(datum, lam)
     levi = datum.levi(subset)
-    char = irreducible_character(datum, lam)
-    out = decompose_character(levi, char)
+    out = _brauer(levi, {(0,) * datum.weight_dim: 1},
+                  irreducible_character(datum, lam))
     total = sum(m * weyl_dimension(levi, nu) for nu, m in out.items())
     assert total == weyl_dimension(datum, lam)
     return out
@@ -239,19 +271,18 @@ def restrict_to_levi(datum, subset, lam):
 
 def tensor_decompose_on(datum, entries_a, entries_b):
     """Tensor product of two decompositions, summed with multiplicities:
-    each side's characters are summed, the two sums multiplied once and the
-    product decomposed once."""
-    sides = []
-    for entries in (entries_a, entries_b):
-        char = {}
-        for lam, mult in entries.items():
-            _require_dominant(datum, lam)
-            for w, m in _character(datum, tuple(lam)).items():
-                char[w] = char.get(w, 0) + mult * m
-        sides.append(char)
-    out = decompose_character(datum, multiply_characters(*sides))
+    side b's characters are summed once and side a is decomposed against
+    that sum by the Brauer-Klimyk rule."""
+    dim_a = sum(mult * weyl_dimension(datum, lam)
+                for lam, mult in entries_a.items())
+    char_b = {}
+    for lam, mult in entries_b.items():
+        _require_dominant(datum, lam)
+        for w, m in _character(datum, tuple(lam)).items():
+            char_b[w] = char_b.get(w, 0) + mult * m
+    out = _brauer(datum, entries_a, char_b)
     total = sum(m * weyl_dimension(datum, nu) for nu, m in out.items())
-    assert total == sum(sides[0].values()) * sum(sides[1].values())
+    assert total == dim_a * sum(char_b.values())
     return out
 
 
@@ -266,6 +297,7 @@ def restrict_decomposition(datum, subset, entries):
 
 def levi_degree_shift(datum, subset, chi):
     """<chi, 2rho_G-check - 2rho_L-check> for chi central for the Levi."""
+    _require_weight(datum, chi)
     levi = datum.levi(subset)
     chi = tuple(chi)
     for root in levi.positive_roots():

@@ -13,7 +13,7 @@ from . import cache
 from .errors import DomainError
 from .qpoly import QPoly, product_truncated, geometric_series
 from .roots import _vec_sub
-from .characters import weyl_dimension, _require_dominant
+from .characters import weyl_dimension, _require_dominant, _require_weight
 
 
 def q_kostant(datum, nu):
@@ -22,6 +22,7 @@ def q_kostant(datum, nu):
     Counts expressions nu = sum over positive roots of n_alpha * alpha
     weighted by q^(sum n_alpha); the zero polynomial when there is none.
     """
+    _require_weight(datum, nu)
     coords = datum.root_coordinates(tuple(nu))
     if coords is None or any(c < 0 for c in coords):
         return QPoly.zero()
@@ -70,13 +71,14 @@ def _q_kostant(datum, coords, idx):
 def lusztig_q_analog(datum, lam, mu):
     """Lusztig q-analog m^lam_mu(q); its value at q = 1 is dim V_lam(mu)."""
     _require_dominant(datum, lam)
+    _require_weight(datum, mu)
     lam = tuple(lam)
     mu = tuple(mu)
-    request = {"op": "lusztig_q_analog", "preset": datum.name,
+    request = {"op": "lusztig_q_analog", "format": 1, "preset": datum.name,
                "lam": list(lam), "mu": list(mu)}
-    stored = cache.fetch(request)
+    stored = _stored_q_analog(datum, lam, mu, cache.fetch(request))
     if stored is not None:
-        return QPoly({e: int(c) for e, c in stored})
+        return stored
     out = QPoly.zero()
     for w in datum.weyl_elements():
         # w(lam + rho) - (mu + rho) = w(lam) - mu + (w(rho) - rho)
@@ -92,6 +94,29 @@ def lusztig_q_analog(datum, lam, mu):
     return out
 
 
+def _stored_q_analog(datum, lam, mu, stored):
+    """The q-analog in a disk-cache value, or None unless the value is a
+    list of [exponent, decimal integer coefficient] with every exponent in
+    [0, height(lam - mu)]; off the root lattice that leaves only [].  The
+    check reads root coordinates only, never the characters it is checked
+    against."""
+    if not isinstance(stored, list):
+        return None
+    coords = datum.root_coordinates(_vec_sub(lam, mu))
+    top = -1 if coords is None else sum(coords)
+    terms = {}
+    for entry in stored:
+        if not (isinstance(entry, list) and len(entry) == 2
+                and type(entry[0]) is int and 0 <= entry[0] <= top
+                and isinstance(entry[1], str)):
+            return None
+        try:
+            terms[entry[0]] = int(entry[1])
+        except ValueError:
+            return None
+    return QPoly(terms)
+
+
 def p_bk_polynomial(datum, nu, lam):
     """Graded dimensions of the kernel filtration on the lam weight space
     of V_nu, as a polynomial in the filtration index.
@@ -100,6 +125,7 @@ def p_bk_polynomial(datum, nu, lam):
     Weyl element making lam dominant.
     """
     _require_dominant(datum, nu)
+    _require_weight(datum, lam)
     w, lam_dom = datum.dominant_conjugate(tuple(lam))
     shift_vec = _vec_sub(lam_dom, tuple(lam))
     shift = datum.height(shift_vec)

@@ -34,7 +34,7 @@ from .errors import DomainError, ResourceError
 from .qpoly import QPoly, product_truncated
 from .roots import _vec_add
 from .characters import (irreducible_character, weyl_dimension,
-                         _require_dominant)
+                         _require_dominant, _require_weight)
 
 DEFAULT_DIM_CAP = 400
 # matrix modules, and layer rows of modules, kept in memory
@@ -547,6 +547,7 @@ def bk_filtration(rep, lam, coefficients=None):
     of the rows labelled >= i + 1.  That rank changes only at the labels
     present, so it is computed once per label and filled in between.
     """
+    _require_weight(rep.datum, lam)
     lam = tuple(lam)
     cols = rep.weight_spaces.get(lam, [])
     m = len(cols)

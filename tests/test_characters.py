@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilcone.errors import DomainError
+from nilcone.qanalog import lusztig_q_analog, p_bk_polynomial, q_kostant
+from nilcone.reps import bk_filtration, build_irrep
 from nilcone.roots import _vec_add, _vec_sub, build_datum, supported_presets
 from nilcone.characters import (weight_multiplicity, irreducible_character,
                                 tensor_decompose, restrict_to_levi,
@@ -303,7 +305,19 @@ def test_decompose_character_rejects_non_characters(preset, subset):
     zero = (0,) * datum.weight_dim
     char = irreducible_character(levi, lam)
     char[zero] = char.get(zero, 0) - 1
-    for bad in ({off: 1}, char):
+    # two edits off the dominant chamber, which keep every dominant
+    # multiplicity: one moves a multiplicity between two weights of one
+    # orbit, the other deletes an orbit weight
+    full = irreducible_character(levi, lam)
+    a, b = next(orbit[:2] for orbit in (
+        [w for w in levi.weyl_orbit(dom) if w != dom]
+        for dom in sorted(full) if levi.is_dominant(dom)) if len(orbit) > 1)
+    moved = dict(full)
+    moved[a] += 1
+    moved[b] -= 1
+    deleted = dict(full)
+    del deleted[a]
+    for bad in ({off: 1}, char, moved, deleted):
         with pytest.raises(DomainError):
             decompose_character(levi, bad)
         with pytest.raises(DomainError):
@@ -385,3 +399,65 @@ def test_tensor_decompose_on_matches_pairwise_sum(subset, sides):
                 pairwise[nu] = pairwise.get(nu, 0) + ma * mb * m
     assert tensor_decompose_on(levi, *entries) == \
         {nu: m for nu, m in pairwise.items() if m}
+
+
+# -- the Brauer-Klimyk rule against the product character and the max scan -----
+
+def _reference_tensor(datum, lam, mu):
+    """V_lam tensor V_mu by the product of the two characters, decomposed by
+    the max scan."""
+    product = {}
+    for wa, ma in irreducible_character(datum, lam).items():
+        for wb, mb in irreducible_character(datum, mu).items():
+            w = _vec_add(wa, wb)
+            product[w] = product.get(w, 0) + ma * mb
+    return _reference_decompose(datum, product)
+
+
+@pytest.mark.parametrize("preset,subset", _DECOMPOSE_DATA)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(boxes=st.tuples(_BOX, _BOX))
+def test_brauer_rule_matches_product_and_max_scan(preset, subset, boxes):
+    datum, levi = _datum_and_levi(preset, subset)
+    lam, mu = (_weight(datum, levi, box, (1, -1, 1)) for box in boxes)
+    if lam is None or mu is None:
+        return
+    assert list(tensor_decompose(levi, lam, mu).items()) == \
+        list(_reference_tensor(levi, lam, mu).items())
+    char = irreducible_character(levi, lam)
+    for sub in (s for k in range(levi.rank + 1)
+                for s in combinations(range(levi.rank), k)):
+        assert list(restrict_to_levi(levi, sub, lam).items()) == \
+            list(_reference_decompose(levi.levi(sub), char).items()), sub
+
+
+# -- weights of the wrong shape --------------------------------------------------
+
+_WEIGHT_ARGUMENTS = {
+    "weyl_dimension": weyl_dimension,
+    "irreducible_character": irreducible_character,
+    "tensor_decompose": lambda d, w: tensor_decompose(d, (1, 0), w),
+    "restrict_to_levi": lambda d, w: restrict_to_levi(d, (0,), w),
+    "weight_multiplicity": lambda d, w: weight_multiplicity(d, (1, 1), w),
+    "lusztig_q_analog": lambda d, w: lusztig_q_analog(d, (1, 1), w),
+    "p_bk_polynomial": lambda d, w: p_bk_polynomial(d, (1, 1), w),
+    "q_kostant": q_kostant,
+    "bk_filtration": lambda d, w: bk_filtration(build_irrep(d, (1, 1)), w),
+    "levi_degree_shift": lambda d, w: levi_degree_shift(d, (), w),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_WEIGHT_ARGUMENTS))
+@pytest.mark.parametrize("weight", [(1,), (1, 0, 5), (1.0, 0)])
+def test_weights_of_the_wrong_shape_are_domain_errors(a2, entry, weight):
+    with pytest.raises(DomainError):
+        _WEIGHT_ARGUMENTS[entry](a2, weight)
+
+
+def test_dominant_weights_are_lattice_weights(a2_adj):
+    # dominant, but off the root lattice of the adjoint preset
+    half = (Fraction(1, 2), Fraction(1, 2))
+    assert a2_adj.is_dominant(half)
+    for call in (weyl_dimension, irreducible_character):
+        with pytest.raises(DomainError):
+            call(a2_adj, half)

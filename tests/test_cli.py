@@ -168,6 +168,49 @@ def test_cache_dir_round_trip(tmp_path, capsys, monkeypatch):
     assert first == third
 
 
+_TAMPERED = {
+    "lusztig_q_analog": [
+        [[1, "5"], [7, "-3"]], [[-1, "1"]], [[1, "x"]], [[1, 2]],
+        [[1.0, "1"]], [[1, "1", 0]], "garbage", {"1": "1"}],
+    "irreducible_character": [
+        "garbage", [[[0, 0], 0]], [[[0], 1]], [[[0.0, 0], 1]],
+        [[[0, 0], True]], [[[0, 0], 1]] * 3, [[[0, 0], 7]], [[0, 0]],
+        {"0,0": 1}],
+}
+
+
+def test_tampered_cache_entries_are_recomputed(tmp_path, capsys,
+                                               monkeypatch):
+    """A disk-cache value of the wrong shape is a miss: the call prints the
+    uncached stdout, exits 0 with an empty stderr and stores the value
+    again."""
+    from nilcone.characters import _character
+    calls = [["qanalog", "--preset", "A2-sc", "--lambda", "1,1",
+              "--mu", "0,0"],
+             ["tensor", "--preset", "A2-sc", "--lhs", "1,1", "--rhs", "1,0"],
+             ["branch", "--preset", "A2-sc", "--subset", "0",
+              "--weight", "2,1"]]
+
+    def cold(argv):
+        _character.cache_clear()
+        return _capture(capsys, argv)
+    expected = [cold(argv) for argv in calls]
+    assert all(code == 0 and not err for code, _, err in expected)
+    monkeypatch.setenv("NILCONE_CACHE_DIR", str(tmp_path))
+    assert [cold(argv) for argv in calls] == expected
+    files = {}
+    for path in tmp_path.glob("*.json"):
+        blob = json.loads(path.read_text())
+        files.setdefault(blob["request"]["op"], []).append((path, blob))
+    assert sorted(files) == sorted(_TAMPERED)
+    for op, values in _TAMPERED.items():
+        for path, blob in files[op]:
+            for value in values:
+                path.write_text(json.dumps(dict(blob, value=value)))
+                assert [cold(argv) for argv in calls] == expected, value
+                assert json.loads(path.read_text()) == blob, value
+
+
 # -- argument fuzz --------------------------------------------------------------
 
 # Pairing coordinates stay in [-1, 2] and truncations at most 6, so that no
