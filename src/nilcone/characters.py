@@ -319,48 +319,39 @@ def is_representation_character(datum, char):
 def weyl_character_oracle(datum, lam):
     """Character of V_lam straight from the Weyl character formula.
 
-    Independent of the Freudenthal path: expands the alternating sums
-    numerator / denominator by long division on group-ring elements.  Slow;
-    used as a test oracle only.
+    Independent of the Freudenthal path.  By Weyl's denominator identity
+    (Humphreys, GTM 9, §24), e^-rho alt(rho) is the product over the
+    positive roots alpha of (1 - e^-alpha), so e^-rho alt(lam + rho) is
+    divided by one factor at a time.  Dividing p by (1 - e^-alpha) is the
+    running sum q(w) = p(w) + q(w + alpha) down every alpha-string, and the
+    division is exact only if each string's sum ends at 0.  Used as a test
+    oracle only.
     """
     _require_dominant(datum, lam)
-    lam = tuple(lam)
-    # exponents are shifted by rho so that all of them lie in the lattice
+    # exponents are shifted by -rho so that all of them lie in the lattice
     lam_rho = tuple(Fraction(a) + b for a, b in zip(lam, datum.rho))
-    rho_v = datum.rho
-
-    def alt(vec):
-        out = {}
-        for w in datum.weyl_elements():
-            img = w.apply(vec)
-            key = tuple(img[k] - rho_v[k] for k in range(datum.weight_dim))
-            ikey = []
-            for a in key:
-                a = Fraction(a)
-                assert a.denominator == 1
-                ikey.append(int(a))
-            ikey = tuple(ikey)
-            out[ikey] = out.get(ikey, 0) + w.sign
-        return {k: v for k, v in out.items() if v}
-
-    numerator = alt(lam_rho)
-    denominator = alt(rho_v)
-    # divide: denominator has leading (graded-lex maximal) term e^0 with
-    # coefficient 1, so plain long division terminates
-    key = lambda w: _peel_key(datum, w)
-    lead = max(denominator, key=key)
-    assert lead == tuple([0] * datum.weight_dim) and denominator[lead] == 1
     quotient = {}
-    work = dict(numerator)
-    while work:
-        top = max(work, key=key)
-        c = work[top]
-        quotient[top] = quotient.get(top, 0) + c
-        for t, m in denominator.items():
-            w = _vec_add(top, _vec_sub(t, lead))
-            s = work.get(w, 0) - c * m
-            if s:
-                work[w] = s
-            else:
-                work.pop(w, None)
-    return {k: v for k, v in quotient.items() if v}
+    for w in datum.weyl_elements():
+        key = [a - r for a, r in zip(w.apply(lam_rho), datum.rho)]
+        assert all(a.denominator == 1 for a in key)
+        key = tuple(int(a) for a in key)
+        quotient[key] = quotient.get(key, 0) + w.sign
+    for root in datum.positive_roots():
+        alpha = root.weight
+        k = next(t for t, a in enumerate(alpha) if a)
+        strings = {}  # a point of each alpha-string -> {n: p(point + n alpha)}
+        for w, c in quotient.items():
+            n = w[k] // alpha[k]
+            base = tuple(x - n * a for x, a in zip(w, alpha))
+            strings.setdefault(base, {})[n] = c
+        quotient = {}
+        for base, points in strings.items():
+            total = 0
+            for n in range(max(points), min(points) - 1, -1):
+                total += points.get(n, 0)
+                if total:
+                    quotient[tuple(x + n * a for x, a in zip(base, alpha))] = \
+                        total
+            assert total == 0, "alt(lam + rho) is not divisible by " \
+                "1 - e^-alpha for alpha = %r" % (alpha,)
+    return quotient

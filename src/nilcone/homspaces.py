@@ -138,12 +138,12 @@ def _slice_pair(datum, lam, mu, dim_cap):
                 if tcol:
                     for t2, v in tcol.items():
                         eq = eq_index.setdefault((xi, t2, s), len(eq_index))
-                        col[eq] = col.get(eq, Fraction(0)) + v
+                        col[eq] = col.get(eq, 0) + v
                 srow = rows_s[xi].get(s)
                 if srow:
                     for s2, v in srow.items():
                         eq = eq_index.setdefault((xi, t, s2), len(eq_index))
-                        col[eq] = col.get(eq, Fraction(0)) - v
+                        col[eq] = col.get(eq, 0) - v
             columns.append(_strip_column(col))
         rank = int_columns_rank(columns)
         dim = len(cells) - rank

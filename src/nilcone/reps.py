@@ -1,34 +1,36 @@
 """Exact matrix models of irreducible modules and the principal nilpotent.
 
 Modules are built weight space by weight space, going down from the
-highest-weight vector: the candidates for a basis of V(mu) are the vectors
-f_i b with b in the basis of V(mu + alpha_i).  In an irreducible module no
-nonzero vector of weight mu below the highest weight is killed by every e_j
-(it would generate a proper submodule), so candidates are independent
-exactly when their e-images in the spaces V(mu + alpha_j) are, and a
-candidate's coordinates over the basis are those of its e-image.  So one
-elimination of those images per weight space gives both the basis and every
-candidate's coordinates, read off its kernel (:func:`fraction_solve`).
-Operator entries are Fractions; the linear algebra (the basis choice and
-coordinates, ranks, the centralizer kernel, the kernel filtration rows)
-goes through one fraction-free integer elimination, :func:`_eliminate`.
+highest-weight vector.  Every operator is an integer matrix over a Z-basis
+of the lattice L = span_Z { f_i1 ... f_ik v_lam }: f_i maps words to words,
+and e_i moves past each f_j by [e_i, f_j] = delta_ij h_i, with h_i acting by
+an integer.  The candidates for V(mu) are the vectors f_i b with b in the
+Z-basis of V(mu + alpha_i), so they span L(mu) over Z.  In an irreducible
+module no nonzero vector of weight mu below the highest weight is killed by
+every e_j (it would generate a proper submodule), so e maps L(mu)
+isomorphically onto the lattice of the candidates' e-images, which are
+integer vectors over the bases above.  One unimodular reduction of those
+images per weight space (:func:`_hermite`) gives a Z-basis of that lattice,
+hence of L(mu), and back-substitution gives every candidate's integer
+coordinates over it (:func:`fraction_solve`).
 
-Kernel filtrations of the principal nilpotent e come from one top-down pass
-over the principal-degree layers (:func:`_layer_rows`), whose labelled rows
+Ranks, the centralizer kernel and the kernel filtration rows go through one
+fraction-free integer elimination, :func:`_eliminate`.  Kernel filtrations
+of the principal nilpotent e come from one top-down pass over the
+principal-degree layers (:func:`_layer_rows`), whose labelled rows
 bk_filtration restricts to a weight space, one rank per label.
 
 Built modules and their layer rows are memoised with functools.lru_cache,
 at most 12 of each; a module object is never changed after it is built.
 
-Operators are stored sparsely as {column: {row: value}}, with Fraction or
-int values.
+Operators are stored sparsely as {column: {row: int}}.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from numbers import Rational
 
 from .errors import DomainError, ResourceError
 from .qpoly import QPoly, product_truncated
@@ -64,7 +66,7 @@ def op_add(a, b, coeff=1):
     for c, col in b.items():
         tgt = out.setdefault(c, {})
         for r, v in col.items():
-            s = tgt.get(r, Fraction(0)) + coeff * v
+            s = tgt.get(r, 0) + coeff * v
             if s:
                 tgt[r] = s
             else:
@@ -168,28 +170,80 @@ def int_columns_rank(columns):
     return len(_eliminate(columns)[0])
 
 
-def fraction_solve(columns, nrows):
-    """A basis among rational columns over range(nrows), and every column's
-    coordinates over it, from one elimination; returns (kept, coords).
-
-    kept lists the indices of the columns _eliminate keeps, the first ones
-    spanning all of them.  coords[j] maps positions t in kept to Fractions
-    x[t] with columns[j] = sum_t x[t] columns[kept[t]]: a unit vector for a
-    kept column, and -v[k] / v[j] at the position of k for a dependent one,
-    v being its kernel vector.
-    """
-    kept, kernel = _eliminate(columns, nrows)
-    pos = {j: t for t, j in enumerate(kept)}
-    kernel = iter(kernel)  # one vector per dependent column, in order
-    coords = []
-    for j in range(len(columns)):
-        if j in pos:
-            coords.append({pos[j]: Fraction(1)})
+def _add_multiple(col, piv, q):
+    """The sparse column col + q * piv."""
+    out = dict(col)
+    for k, v in piv.items():
+        s = out.get(k, 0) + q * v
+        if s:
+            out[k] = s
         else:
-            v = next(kernel)
-            coords.append({pos[k]: Fraction(-x, v[j])
-                           for k, x in enumerate(v) if x and k != j})
-    return list(kept), coords
+            out.pop(k, None)
+    return out
+
+
+def _hermite(columns):
+    """An echelon Z-basis of the lattice integer sparse columns span.
+
+    Each column is reduced at its smallest row by Euclid steps against the
+    pivot there: both made positive, the smaller is the pivot and the other
+    loses the nearest-integer multiple of it, until the column is 0 at that
+    row or it reaches a row without a pivot and becomes that pivot.  The
+    steps are unimodular, so the pivots span what the columns span.  Then
+    each pivot is size-reduced at the pivot rows of the ones after it, as
+    for the Hermite normal form (H. Cohen, GTM 138, §2.4); without that,
+    entries of the B2-sc module V(1, 4) reached 496 bits, and with it no
+    module of dimension <= 120 needs 20.  Returns the pivots by row.
+    """
+    pivots = {}  # pivot row -> column, positive at that row
+    for col in columns:
+        while col:
+            r = min(col)
+            if col[r] < 0:
+                col = {k: -v for k, v in col.items()}
+            piv = pivots.get(r)
+            if piv is None:
+                pivots[r] = col
+                break
+            if col[r] < piv[r]:
+                pivots[r], col, piv = col, piv, col
+            p = piv[r]
+            col = _add_multiple(col, piv, -((2 * col[r] + p) // (2 * p)))
+    rows = sorted(pivots)
+    basis = [pivots[r] for r in rows]
+    for s in range(len(basis) - 2, -1, -1):
+        for t in range(s + 1, len(basis)):
+            p = basis[t][rows[t]]
+            q = (2 * basis[s].get(rows[t], 0) + p) // (2 * p)
+            if q:
+                basis[s] = _add_multiple(basis[s], basis[t], -q)
+    return basis
+
+
+def fraction_solve(columns):
+    """A Z-basis of the lattice integer sparse columns span, and every
+    column's integer coordinates over it, from one reduction; returns
+    (basis, coords).
+
+    coords[j] maps positions t in basis to ints x[t] with
+    columns[j] = sum_t x[t] basis[t], read by back-substitution down the
+    pivot rows.  The name predates the integer models; it stays because
+    bench/tracing.py records the builder's one call per weight space by it.
+    """
+    basis = _hermite(columns)
+    pos = {min(b): t for t, b in enumerate(basis)}
+    coords = []
+    for col in columns:
+        x = {}
+        while col:
+            r = min(col)
+            t = pos.get(r)
+            assert t is not None and col[r] % basis[t][r] == 0, \
+                "a column outside the lattice of its own basis"
+            x[t] = col[r] // basis[t][r]
+            col = _add_multiple(col, basis[t], -x[t])
+        coords.append(x)
+    return basis, coords
 
 
 # -- the representation object ------------------------------------------------
@@ -214,7 +268,7 @@ class MatrixRep:
         for idx, (w, _) in enumerate(self.basis):
             c = self.datum.simple_pairing(w, i)
             if c:
-                out[idx] = {idx: Fraction(c)}
+                out[idx] = {idx: c}
         return out
 
     def principal_degree(self, index):
@@ -306,24 +360,24 @@ def _build_irrep(datum, lam):
         columns = []
         for i, b in cands:
             # e_j f_i b = f_i e_j b + delta_ij h_i b
-            col = {b: Fraction(datum.simple_pairing(basis[b][0], i))}
+            col = {b: datum.simple_pairing(basis[b][0], i)}
             for e in e_ops:
                 for t, c in e.get(b, {}).items():
                     for r, v in f_ops[i].get(t, {}).items():
                         col[r] = col.get(r, 0) + c * v
             columns.append({r: v for r, v in col.items() if v})
-        # no nonzero vector below lam is killed by every e_j, so the first
-        # candidates with independent e-images are a basis, and every
+        # no nonzero vector below lam is killed by every e_j, so a Z-basis
+        # of the e-images is the e-image of a Z-basis of L(mu), and every
         # candidate's coords over it are those of its e-image
-        kept, coords = fraction_solve(columns, len(basis))
-        assert len(kept) == char[mu], \
+        images, coords = fraction_solve(columns)
+        assert len(images) == char[mu], \
             "could not span weight space %r of V_%r" % (mu, lam)
         for (i, b), x in zip(cands, coords):
             if x:
                 f_ops[i][b] = {slots[mu][t]: v for t, v in x.items()}
-        for g, ci in zip(slots[mu], kept):
+        for g, col in zip(slots[mu], images):
             for j in range(rank):
-                image = {r: columns[ci][r] for r in ups[j] if r in columns[ci]}
+                image = {r: col[r] for r in ups[j] if r in col}
                 if image:
                     e_ops[j][g] = image
 
@@ -333,15 +387,17 @@ def _build_irrep(datum, lam):
 
 
 def principal_e(rep, coefficients=None):
-    """Sum of the simple raising operators (any nonzero coefficients)."""
+    """Sum of the simple raising operators (any nonzero ints or Fractions)."""
     rank = rep.datum.rank
     if coefficients is None:
         coefficients = [1] * rank
-    if len(coefficients) != rank or any(not c for c in coefficients):
-        raise DomainError("need one nonzero coefficient per simple root")
+    if len(coefficients) != rank or any(
+            not c or not isinstance(c, Rational) for c in coefficients):
+        raise DomainError("need one nonzero rational coefficient per simple "
+                          "root")
     out = {}
     for i in range(rank):
-        out = op_add(out, rep.e_ops[i], Fraction(coefficients[i]))
+        out = op_add(out, rep.e_ops[i], coefficients[i])
     return out
 
 
@@ -492,18 +548,6 @@ class FiltrationProfile:
         return "FiltrationProfile(%r, %r)" % (self.weight, self.dims)
 
 
-def integer_principal_e(rep, coefficients=None):
-    """principal_e rescaled to integer entries (kernel powers unchanged)."""
-    # one common factor for every entry, so the powers keep their kernels
-    flat = _strip_column({(c, r): v
-                          for c, col in principal_e(rep, coefficients).items()
-                          for r, v in col.items()})
-    out = {}
-    for (c, r), v in flat.items():
-        out.setdefault(c, {})[r] = v
-    return out
-
-
 @lru_cache(maxsize=_MODULES_KEPT)
 def _layer_rows(rep, coefficients=None):
     """Labelled integer rows cutting out the kernels of the powers of e.
@@ -516,9 +560,15 @@ def _layer_rows(rep, coefficients=None):
     These are reduced in decreasing label order and the rows that reduce
     to zero are dropped, which keeps the span of the rows labelled >= k
     for every k.  Returns {d: [(label, row), ...]}, labels decreasing.
-    Coefficients, if given, come as a tuple: they key the memo.
+    Coefficients, if given, come as a tuple: they key the memo.  They are
+    multiplied by their common denominator, which keeps every kernel of a
+    power of e and makes the entries of e integers.
     """
-    e = integer_principal_e(rep, coefficients)
+    if coefficients is not None:
+        ratios = [c.as_integer_ratio() for c in coefficients]
+        scale = lcm(*(d for _, d in ratios))
+        coefficients = [n * (scale // d) for n, d in ratios]
+    e = principal_e(rep, coefficients)
     # e transposed: the coordinate row of each target basis vector
     e_rows = {}
     for c, col in e.items():

@@ -67,6 +67,49 @@ def test_freudenthal_matches_weyl_character_formula(preset, bound):
             irreducible_character(datum, lam), lam
 
 
+def _long_division_oracle(datum, lam):
+    """The Weyl character formula by naive long division of
+    alt(lam + rho) by alt(rho), both shifted by -rho, leading term first."""
+    def alt(vec):
+        out = {}
+        for w in datum.weyl_elements():
+            key = [Fraction(a) - r for a, r in zip(w.apply(vec), datum.rho)]
+            assert all(a.denominator == 1 for a in key)
+            key = tuple(int(a) for a in key)
+            out[key] = out.get(key, 0) + w.sign
+        return {k: v for k, v in out.items() if v}
+
+    def key(w):  # a monomial order: translation-invariant, total
+        return datum.pair_2rho_check(w), w
+    numerator = alt(tuple(Fraction(a) + r for a, r in zip(lam, datum.rho)))
+    denominator = alt(datum.rho)
+    lead = max(denominator, key=key)
+    assert not any(lead) and denominator[lead] == 1
+    quotient = {}
+    while numerator:
+        top = max(numerator, key=key)
+        c = quotient[top] = numerator[top]
+        for t, m in denominator.items():
+            w = _vec_add(top, t)
+            s = numerator.get(w, 0) - c * m
+            if s:
+                numerator[w] = s
+            else:
+                numerator.pop(w, None)
+    return quotient
+
+
+@pytest.mark.parametrize("preset,lam", [
+    ("A1-sc", (3,)), ("A2-sc", (2, 1)), ("A2-adj", (1, 1)), ("B2-sc", (1, 2)),
+    ("G2", (1, 1)), ("A3-sc", (1, 0, 2))])
+def test_weyl_oracle_matches_long_division(preset, lam):
+    """The oracle's one-root-at-a-time division against plain long
+    division by the whole denominator."""
+    datum = build_datum(preset)
+    assert weyl_character_oracle(datum, lam) == \
+        _long_division_oracle(datum, lam)
+
+
 def test_tensor_even_label_example(a1_adj):
     # V_2 (x) V_2 = V_4 + V_2 + V_0 in the even-label convention
     dec = tensor_decompose(a1_adj, (1,), (1,))

@@ -131,6 +131,18 @@ def _string_sum_q_kostant(datum, coords, idx, memo):
     return memo[coords, idx]
 
 
+def test_fractional_mu_with_a_cache_dir(tmp_path, monkeypatch):
+    """An off-lattice mu is 0 before the disk cache is asked, and a
+    Fraction entry on the lattice stores the same request as an int."""
+    monkeypatch.setenv("NILCONE_CACHE_DIR", str(tmp_path))
+    a1_adj = build_datum("A1-adj")
+    assert lusztig_q_analog(a1_adj, (4,), (Fraction(1, 2),)) == QPoly.zero()
+    assert not list(tmp_path.iterdir())
+    assert lusztig_q_analog(a1_adj, (4,), (Fraction(2),)) == \
+        lusztig_q_analog(a1_adj, (4,), (2,)) == QPoly({2: 1})
+    assert len(list(tmp_path.glob("*.json"))) == 1
+
+
 @pytest.mark.parametrize("preset", supported_presets())
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(coords=st.lists(st.integers(0, 12), min_size=3, max_size=3))

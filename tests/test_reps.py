@@ -1,9 +1,11 @@
 import hashlib
 import json
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nilcone.errors import DomainError, ResourceError
 from nilcone.qpoly import QPoly
@@ -13,8 +15,8 @@ from nilcone.reps import (build_irrep, principal_e, centralizer_and_exponents,
                           bk_filtration, bk_profile_all_weights,
                           verify_theorem_filtrations, poincare_gr,
                           op_compose, op_apply, op_commutator, op_equal,
-                          integer_principal_e, fraction_solve,
-                          int_columns_rank, _eliminate, _layer_rows,
+                          fraction_solve, int_columns_rank, _eliminate,
+                          _layer_rows,
                           MatrixRep)
 from nilcone.qanalog import p_bk_polynomial
 from conftest import dominant_weights_with_dim_cap
@@ -188,12 +190,28 @@ def test_poincare_gr(a1, a2):
     assert poincare_gr(a2, 6) == QPoly({0: 1, 2: 1, 4: 2, 6: 2})
 
 
-def test_integer_principal_e_scaling(b2):
+def test_principal_e_has_integer_entries(b2):
     rep = build_irrep(b2, (1, 0))
-    e_int = integer_principal_e(rep)
-    for col in e_int.values():
-        for v in col.values():
-            assert isinstance(v, int)
+    for coefficients in (None, [2, -3]):
+        for col in principal_e(rep, coefficients).values():
+            for v in col.values():
+                assert isinstance(v, int)
+    with pytest.raises(DomainError):
+        principal_e(rep, [0.5, 1])
+
+
+@pytest.mark.parametrize("preset", supported_presets())
+def test_generator_matrices_are_small_integers(preset):
+    """Every e and f entry of every module of dimension <= 120 is an int of
+    at most 32 bits: the Z-bases are size-reduced."""
+    datum = build_datum(preset)
+    for lam in dominant_weights_with_dim_cap(datum, 120):
+        rep = build_irrep(datum, lam)
+        for op in rep.e_ops + rep.f_ops:
+            for col in op.values():
+                for v in col.values():
+                    assert type(v) is int and v.bit_length() <= 32, \
+                        (preset, lam, v)
 
 
 def test_serialization_round_trip(a2):
@@ -221,19 +239,23 @@ def test_weight_space_dims_match_freudenthal(g2):
 
 @pytest.mark.parametrize("preset,coords", [("B2-sc", (1, 1)), ("G2", (1, 0))])
 def test_one_elimination_per_weight_space(preset, coords, monkeypatch):
-    """An uncached build picks each weight space's basis and every
-    candidate's coordinates over it with one elimination, and makes no
-    other."""
+    """An uncached build picks each weight space's Z-basis and every
+    candidate's coordinates over it with one reduction, and makes no
+    elimination."""
     import nilcone.reps
     datum = build_datum(preset)
     lam = datum.weight_from_pairing(coords)
     calls = []
-    eliminate = nilcone.reps._eliminate
+    hermite = nilcone.reps._hermite
 
     def counted(*args):
         calls.append(args)
-        return eliminate(*args)
-    monkeypatch.setattr(nilcone.reps, "_eliminate", counted)
+        return hermite(*args)
+
+    def forbidden(*args):
+        raise AssertionError("the build called _eliminate")
+    monkeypatch.setattr(nilcone.reps, "_hermite", counted)
+    monkeypatch.setattr(nilcone.reps, "_eliminate", forbidden)
     rep = nilcone.reps._build_irrep.__wrapped__(datum, lam)
     assert len(calls) == len(rep.weight_spaces) - 1 > 1
 
@@ -243,7 +265,7 @@ def test_one_elimination_per_weight_space(preset, coords, monkeypatch):
 # deliberate change of basis, such as integer matrix models, changes this
 # value: update it and record the change in CHANGES.md.
 _EXPORTS_UP_TO_60 = \
-    "a77812db5527c68d5e2734987c14ec386fc1c6ee9a3de173cc10132c313f4aea"
+    "adb6a7079b69ba44dd0b51caddbcc0a05d8e3360565ad7beb5c6f199dffa8ff6"
 
 
 def test_exports_are_byte_identical_up_to_dimension_60():
@@ -352,35 +374,68 @@ def test_kept_columns_span_each_prefix(matrix):
         assert rank(prefix + reduced) == rank(prefix)
 
 
-@_SETTINGS
-@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
-    st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n,
-             max_size=n),
-    st.lists(_entries, min_size=n, max_size=n))))
-def test_fraction_solve_matches_reference(system):
-    matrix, rhs = system
-    n = len(matrix)
-    rows = [row + [b] for row, b in zip(matrix, rhs)]
-    rref, pivots = _gauss_jordan(rows, n)
-    assume(len(pivots) == n)
-    kept, coords = fraction_solve(_sparse_columns(rows, n + 1), n)
-    assert kept == list(range(n))
-    assert [coords[n].get(t, 0) for t in range(n)] == [row[n] for row in rref]
+def _minors_gcd(rows, ncols, r):
+    """gcd of the r x r minors of a matrix, by Fraction Gauss-Jordan."""
+    g = 0
+    for rs in combinations(range(len(rows)), r):
+        for cs in combinations(range(ncols), r):
+            m = [[Fraction(rows[i][j]) for j in cs] for i in rs]
+            det = Fraction(1)
+            for k in range(r):
+                p = next((i for i in range(k, r) if m[i][k]), None)
+                if p is None:
+                    det = Fraction(0)
+                    break
+                if p != k:
+                    m[k], m[p] = m[p], m[k]
+                    det = -det
+                det *= m[k][k]
+                for i in range(k + 1, r):
+                    f = m[i][k] / m[k][k]
+                    m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+            assert det.denominator == 1
+            g = gcd(g, int(det))
+    return g
 
 
 @_SETTINGS
-@given(_matrices(_entries))
+@given(_matrices(st.integers(-12, 12)))
+@example(([[2, 4, 6]], 3))
+@example(([[2, 0, 1], [0, 2, 1]], 3))
+def test_fraction_solve_matches_reference(matrix):
+    """The basis is an echelon Z-basis of the lattice the columns span: as
+    many vectors as the Gauss-Jordan rank, positive pivots on the reference
+    pivot rows, and the same gcd of maximal minors as the columns, which
+    with test_fraction_solve_coordinates_rebuild_every_column makes the
+    two lattices equal."""
+    rows, ncols = matrix
+    nrows = len(rows)
+    basis, coords = fraction_solve(_sparse_columns(rows, ncols))
+    rank = len(_gauss_jordan(rows, ncols)[1])
+    assert len(basis) == rank
+    pivots = [min(b) for b in basis]
+    transposed = [list(col) for col in zip(*rows)]
+    assert pivots == _gauss_jordan(transposed, nrows)[1]
+    assert all(b[r] > 0 for b, r in zip(basis, pivots))
+    if rank:
+        dense = [[b.get(r, 0) for b in basis] for r in range(nrows)]
+        assert _minors_gcd(dense, rank, rank) == \
+            _minors_gcd(rows, ncols, rank)
+
+
+@_SETTINGS
+@given(_matrices(st.integers(-12, 12)))
 def test_fraction_solve_coordinates_rebuild_every_column(matrix):
-    """One elimination gives the reference's pivot columns and, exactly,
-    every column's coordinates over them."""
+    """One reduction gives every column's coordinates over the basis,
+    exactly and in ints."""
     rows, ncols = matrix
     columns = _sparse_columns(rows, ncols)
-    kept, coords = fraction_solve(columns, len(rows))
-    assert kept == _gauss_jordan(rows, ncols)[1]
+    basis, coords = fraction_solve(columns)
     for col, x in zip(columns, coords):
         rebuilt = {}
         for t, v in x.items():
-            for r, a in columns[kept[t]].items():
+            assert type(v) is int
+            for r, a in basis[t].items():
                 rebuilt[r] = rebuilt.get(r, 0) + v * a
         assert {r: v for r, v in rebuilt.items() if v} == col
 
@@ -454,7 +509,7 @@ def test_every_memo_is_an_lru_cache(a2):
     rep = build_irrep(a2, (2, 1))
     bk_profile_all_weights(rep, [2, -3])
     bk_profile_all_weights(rep)
-    integer_principal_e(rep)
+    principal_e(rep)
     centralizer_and_exponents(a2)[0][0].realize(rep)
     fresh = MatrixRep(rep.datum, rep.highest_weight, rep.basis, rep.e_ops,
                       rep.f_ops)
