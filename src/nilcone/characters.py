@@ -328,13 +328,11 @@ def weyl_character_oracle(datum, lam):
     oracle only.
     """
     _require_dominant(datum, lam)
-    # exponents are shifted by -rho so that all of them lie in the lattice
-    lam_rho = tuple(Fraction(a) + b for a, b in zip(lam, datum.rho))
+    # exponents are shifted by -rho so that all of them lie in the lattice:
+    # w(lam + rho) - rho = w(lam) + (w(rho) - rho)
     quotient = {}
     for w in datum.weyl_elements():
-        key = [a - r for a, r in zip(w.apply(lam_rho), datum.rho)]
-        assert all(a.denominator == 1 for a in key)
-        key = tuple(int(a) for a in key)
+        key = _vec_add(w.apply(lam), w.rho_shift)
         quotient[key] = quotient.get(key, 0) + w.sign
     for root in datum.positive_roots():
         alpha = root.weight

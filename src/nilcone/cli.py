@@ -56,10 +56,6 @@ def _dim_cap(text):
     return cap
 
 
-def _poly_json(poly):
-    return [[e, str(c)] for e, c in poly.pairs()]
-
-
 def _poly_tsv(poly):
     return "\n".join("%d\t%s" % (e, c) for e, c in poly.pairs()) or "0\t0"
 
@@ -121,7 +117,7 @@ def cmd_qanalog(args):
     lam = _parse_weight(datum, args.lam)
     mu = _parse_weight(datum, args.mu)
     poly = qanalog.lusztig_q_analog(datum, lam, mu)
-    _emit(args, _poly_json(poly), _poly_tsv(poly))
+    _emit(args, poly.to_json(), _poly_tsv(poly))
 
 
 def cmd_bk_verify(args):
@@ -130,8 +126,8 @@ def cmd_bk_verify(args):
     lam = _parse_weight(datum, args.lam)
     ok, actual, predicted = reps.verify_theorem_filtrations(
         datum, nu, lam, dim_cap=args.dim_cap)
-    result = {"equal": ok, "filtration": _poly_json(actual),
-              "predicted": _poly_json(predicted)}
+    result = {"equal": ok, "filtration": actual.to_json(),
+              "predicted": predicted.to_json()}
     tsv = "equal\t%s\nfiltration\t%s\npredicted\t%s" % (
         ok, str(actual), str(predicted))
     _emit(args, result, tsv)
@@ -182,13 +178,13 @@ def cmd_hom(args):
 def cmd_hilbert(args):
     datum = build_datum(args.preset)
     poly = qanalog.hilbert_series_nilcone(datum, args.truncation)
-    _emit(args, _poly_json(poly), _poly_tsv(poly))
+    _emit(args, poly.to_json(), _poly_tsv(poly))
 
 
 def cmd_poincare(args):
     datum = build_datum(args.preset)
     poly = reps.poincare_gr(datum, args.truncation)
-    _emit(args, _poly_json(poly), _poly_tsv(poly))
+    _emit(args, poly.to_json(), _poly_tsv(poly))
 
 
 _SL2_KINDS = {"delta": "standard", "nabla": "costandard", "proj": "projective"}

@@ -19,7 +19,6 @@ qanalog are doubled at this boundary only.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
@@ -28,8 +27,8 @@ from .characters import (tensor_decompose, dual_weight, restrict_to_levi,
                          _require_dominant)
 from .qanalog import graded_mult_in_nilcone
 from .reps import (build_irrep, centralizer_and_exponents, op_add,
-                   op_compose, op_equal, _op_norm, _strip_column,
-                   int_columns_rank, DEFAULT_DIM_CAP)
+                   op_compose, op_equal, op_transpose, _op_norm,
+                   _strip_column, int_columns_rank, DEFAULT_DIM_CAP)
 
 
 def free_object(summands):
@@ -118,13 +117,7 @@ def _slice_pair(datum, lam, mu, dim_cap):
             cells_by_degree.setdefault(pdeg_t[t] - pdeg_s[s], []).append((t, s))
 
     # transposed source action: row index -> {col: value}
-    rows_s = []
-    for X in ops_s:
-        rows = {}
-        for c, col in X.items():
-            for r, v in col.items():
-                rows.setdefault(r, {})[c] = v
-        rows_s.append(rows)
+    rows_s = [op_transpose(X) for X in ops_s]
 
     out = []
     for w in sorted(cells_by_degree):
@@ -259,7 +252,7 @@ def identity_hom(datum, obj):
     blocks = {}
     for s, (lam, _i) in enumerate(obj):
         rep = build_irrep(datum, lam)
-        blocks[(s, s)] = {a: {a: Fraction(1)} for a in range(rep.dim)}
+        blocks[(s, s)] = {a: {a: 1} for a in range(rep.dim)}
     return HomElement(datum, obj, obj, blocks)
 
 

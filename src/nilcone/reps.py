@@ -61,6 +61,15 @@ def op_apply(op, vec):
     return out
 
 
+def op_transpose(op):
+    """The transpose of {col: {row: val}}, in the same form."""
+    out = {}
+    for c, col in op.items():
+        for r, v in col.items():
+            out.setdefault(r, {})[c] = v
+    return out
+
+
 def op_add(a, b, coeff=1):
     out = {c: dict(col) for c, col in a.items()}
     for c, col in b.items():
@@ -100,20 +109,12 @@ def op_commutator(a, b):
 
 
 def _strip_column(col):
-    """Rescale a rational column to a primitive integer one (rank-safe)."""
-    denom = 1
-    for v in col.values():
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = {r: v.numerator * (denom // v.denominator) for r, v in col.items()
-            if v}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-        if g == 1:
-            return ints
+    """Drop an integer column's zeros and divide it by its content."""
+    col = {r: v for r, v in col.items() if v}
+    g = gcd(*col.values())
     if g > 1:
-        ints = {r: v // g for r, v in ints.items()}
-    return ints
+        col = {r: v // g for r, v in col.items()}
+    return col
 
 
 def _eliminate(columns, nrows=None):
@@ -129,17 +130,16 @@ def _eliminate(columns, nrows=None):
     form, so the rank is len(kept) and, for every j, the reduced columns
     kept from columns[:j + 1] span what columns[:j + 1] span.
 
-    Without nrows the columns must be integer and only the rank is kept.
-    With nrows, rational columns over range(nrows) are made primitive and
-    column j carries a marker 1 at row nrows + j; a column that reduces to
+    The columns are integer, with no zero entries.  Without nrows only the
+    rank is kept.  With nrows, column j over range(nrows) carries a marker 1
+    at row nrows + j, which makes it primitive; a column that reduces to
     zero above the markers leaves its marker part, a kernel vector of ints,
     and these vectors form a kernel basis.  Column j's vector is nonzero at
     j and otherwise supported on the kept columns before j.
     """
     ncols = len(columns)
     if nrows is not None:
-        columns = [_strip_column({**col, nrows + j: 1})
-                   for j, col in enumerate(columns)]
+        columns = [{**col, nrows + j: 1} for j, col in enumerate(columns)]
     pivots = {}  # pivot row -> reduced column
     kept = {}
     kernel = []
@@ -570,10 +570,7 @@ def _layer_rows(rep, coefficients=None):
         coefficients = [n * (scale // d) for n, d in ratios]
     e = principal_e(rep, coefficients)
     # e transposed: the coordinate row of each target basis vector
-    e_rows = {}
-    for c, col in e.items():
-        for r, v in col.items():
-            e_rows.setdefault(r, {})[c] = v
+    e_rows = op_transpose(e)
     layers = {}
     for w, idxs in rep.weight_spaces.items():
         layers.setdefault(rep.datum.pair_2rho_check(w), []).extend(idxs)

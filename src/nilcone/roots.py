@@ -274,30 +274,27 @@ class RootDatum:
                 return w
 
     def _length_sq_half(self, root_coords):
-        # (gamma,gamma)/2 with B(alpha_i,alpha_j) = d_i * A[i][j]
-        total = Fraction(0)
+        # (gamma,gamma)/2 with B(alpha_i,alpha_j) = d_i * A[i][j]; B is even
+        # on the root lattice (B(alpha_i,alpha_i) = 2 d_i), so this is exact
+        total = 0
         for i, ci in enumerate(root_coords):
             if not ci:
                 continue
             for j, cj in enumerate(root_coords):
                 if cj:
                     total += ci * cj * self.symmetrizers[i] * self.cartan[i][j]
-        half = total / 2
-        return half
+        return total // 2
 
     def _coroot_vector(self, root_coords, d_gamma):
-        vec = [Fraction(0)] * self.weight_dim
-        for j, c in enumerate(root_coords):
-            if not c:
-                continue
-            scale = Fraction(c * self.symmetrizers[j], 1) / d_gamma
-            for k in range(self.weight_dim):
-                vec[k] += scale * self.simple_coroots[j][k]
+        # gamma-check = sum_j c_j d_j alpha_j-check / d_gamma
+        scaled = [c * d for c, d in zip(root_coords, self.symmetrizers)]
         out = []
-        for x in vec:
-            if x.denominator != 1:
+        for k in range(self.weight_dim):
+            x, rem = divmod(sum(s * co[k] for s, co in
+                                zip(scaled, self.simple_coroots)), d_gamma)
+            if rem:
                 raise DomainError("coroot has non-integral coordinates")
-            out.append(int(x))
+            out.append(x)
         return tuple(out)
 
     def highest_root(self):

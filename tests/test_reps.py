@@ -2,7 +2,7 @@ import hashlib
 import json
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -443,9 +443,13 @@ def test_fraction_solve_coordinates_rebuild_every_column(matrix):
 @_SETTINGS
 @given(_matrices(_entries))
 def test_kernel_matches_reference(matrix):
-    """The centralizer's kernel: a basis of the reference kernel's span."""
+    """The centralizer's kernel: a basis of the reference kernel's span.
+    _eliminate takes integer columns, so the rational matrix goes in
+    multiplied by the lcm of its denominators, which keeps the kernel."""
     rows, ncols = matrix
-    kept, kernel = _eliminate(_sparse_columns(rows, ncols), len(rows))
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    scaled = [[int(x * scale) for x in row] for row in rows]
+    kept, kernel = _eliminate(_sparse_columns(scaled, ncols), len(rows))
     reference = _reference_kernel(rows, ncols)
     assert len(kept) == ncols - len(reference)
     assert len(kernel) == len(reference)
@@ -531,6 +535,41 @@ def test_weyl_character_oracle_stays_independent():
                "_peel_entry", "irreducible_character", "_dominant_mults",
                "_tail", "_dominant_key", "_brauer", "_dot_dominant"}
     assert not names & foreign, sorted(names & foreign)
+
+
+def _code_names(code):
+    """{qualified name: names read} for code and every code object in it."""
+    out = {}
+    codes = [code]
+    while codes:
+        code = codes.pop()
+        out[code.co_qualname] = set(code.co_names)
+        codes.extend(c for c in code.co_consts if hasattr(c, "co_names"))
+    return out
+
+
+def test_integer_models_stay_integer():
+    """Module operators, Hom blocks and the Weyl oracle are ints end to
+    end: only the documented "p/q" export reads a denominator in reps,
+    homspaces has no Fraction, and the oracle builds none."""
+    import nilcone.characters
+    import nilcone.homspaces
+    import nilcone.reps
+    code = {}
+    for module in (nilcone.reps, nilcone.homspaces):
+        with open(module.__file__) as handle:
+            code[module] = _code_names(compile(handle.read(),
+                                               module.__file__, "exec"))
+    readers = sorted(name for name, names in code[nilcone.reps].items()
+                     if names & {"denominator", "numerator"})
+    assert readers == ["MatrixRep.to_json.<locals>.op_json"], readers
+    assert not any(value is Fraction
+                   for value in vars(nilcone.homspaces).values())
+    assert not any("Fraction" in names
+                   for names in code[nilcone.homspaces].values())
+    oracle = nilcone.characters.weyl_character_oracle.__code__
+    assert not any("Fraction" in names
+                   for names in _code_names(oracle).values())
 
 
 # -- the kernel filtration against a naive walk of e^k ------------------------

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -198,12 +199,19 @@ def test_integer_rho_shift_matches_fraction_dot_action(preset, lam, mu):
 
 @pytest.mark.parametrize("preset", sorted(EXPECTED))
 def test_inner_product_with_root_vector_is_int(preset):
+    """B(weight, gamma), d_gamma = B(gamma, gamma) / 2 and the coroot of
+    every positive root, of the preset and of each Levi, are exact ints."""
     datum = build_datum(preset)
     weight = tuple(range(1, datum.weight_dim + 1))
-    for root in datum.positive_roots():
-        value = datum.inner_product_with_root_vector(weight, root.root_coords)
-        assert type(value) is int
-    theta = datum.highest_root()
-    # B(theta, theta) = 2 d_theta
-    assert datum.inner_product_with_root_vector(
-        theta.weight, theta.root_coords) == 2 * theta.length_sq_half
+    levis = [datum.levi(subset) for k in range(1, datum.rank)
+             for subset in combinations(range(datum.rank), k)]
+    for d in [datum] + levis:
+        for root in d.positive_roots():
+            value = d.inner_product_with_root_vector(weight, root.root_coords)
+            assert type(value) is int
+            assert type(root.length_sq_half) is int
+            assert all(type(c) is int for c in root.coroot)
+            # B(gamma, gamma) = 2 d_gamma
+            assert d.inner_product_with_root_vector(
+                root.weight, root.root_coords) == 2 * root.length_sq_half
+            assert d.pair(root.weight, root.coroot) == 2
