@@ -4,10 +4,10 @@ product decomposition and branching to Levi subgroups.
 A character is a dict mapping weight tuples to integer multiplicities.
 Decompositions are dicts mapping dominant weight tuples to nonnegative
 multiplicities.  Tensor products, branching and decomposition all go through
-one Brauer-Klimyk rule (`_brauer`): for a W-invariant chi,
-ch V_lam * chi = sum over the weights nu of chi of chi(nu) sign(w)
-ch V_{w.(lam + nu)}, so no product character is built and no constituent's
-character is expanded.
+one Brauer-Klimyk rule (`_brauer`; Humphreys, GTM 9, §24): for a W-invariant
+chi, ch V_lam * chi = sum over the weights nu of chi of chi(nu) sign(w)
+ch V_{w.(lam + nu)}, with w.mu = w(mu + rho) - rho the dot action, so no
+product character is built and no constituent's character is expanded.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from . import cache
 from .errors import DomainError
-from .roots import _dot, _vec_add, _vec_scale, _vec_sub
+from .roots import _dot, _vec_add, _vec_sub
 
 
 def _require_weight(datum, weight):
@@ -46,12 +46,16 @@ def weyl_dimension(datum, lam):
     prod <lam + rho, alpha-check> / <rho, alpha-check>, with every factor
     doubled so that numerator and denominator are integers."""
     _require_dominant(datum, lam)
-    num = den = 1
-    for root in datum.positive_roots():
-        shift = _dot(datum.two_rho, root.coroot)
-        num *= 2 * _dot(lam, root.coroot) + shift
-        den *= shift
-    dim, remainder = divmod(num, den)
+    return _weyl_dim(datum, lam)
+
+
+def _weyl_dim(datum, lam):
+    """weyl_dimension for a lam known to be dominant, over the datum's
+    precomputed (coroot, <2rho, coroot>) factors."""
+    num = 1
+    for coroot, shift in datum.dim_factors:
+        num *= 2 * _dot(lam, coroot) + shift
+    dim, remainder = divmod(num, datum.dim_denominator)
     assert remainder == 0 and dim > 0
     return dim
 
@@ -208,12 +212,12 @@ def _dot_dominant(datum, weight):
     c = <weight, alpha_i-check> + 1, and no rho vector is needed."""
     sign = 1
     while True:
-        for i in range(datum.rank):
-            c = datum.simple_pairing(weight, i) + 1
+        for coroot, root in datum.simple_pairs:
+            c = _dot(weight, coroot) + 1
             if c == 0:
                 return None
             if c < 0:
-                weight = _vec_sub(weight, _vec_scale(c, datum.simple_roots[i]))
+                weight = tuple(a - c * b for a, b in zip(weight, root))
                 sign = -sign
                 break
         else:
@@ -261,11 +265,16 @@ def dual_weight(datum, lam):
 def restrict_to_levi(datum, subset, lam):
     """Decompose V_lam over the Levi spanned by the given simple indices."""
     _require_dominant(datum, lam)
-    levi = datum.levi(subset)
-    out = _brauer(levi, {(0,) * datum.weight_dim: 1},
-                  irreducible_character(datum, lam))
-    total = sum(m * weyl_dimension(levi, nu) for nu, m in out.items())
-    assert total == weyl_dimension(datum, lam)
+    return dict(_restrict(datum, datum.levi(subset), tuple(lam)))
+
+
+@lru_cache(maxsize=None)
+def _restrict(datum, levi, lam):
+    """The branching of V_lam to levi, memoised on the Levi object (one
+    per subset): no larger than the memoised character it restricts."""
+    out = _brauer(levi, {(0,) * datum.weight_dim: 1}, _character(datum, lam))
+    total = sum(m * _weyl_dim(levi, nu) for nu, m in out.items())
+    assert total == _weyl_dim(datum, lam)
     return out
 
 
@@ -281,7 +290,7 @@ def tensor_decompose_on(datum, entries_a, entries_b):
         for w, m in _character(datum, tuple(lam)).items():
             char_b[w] = char_b.get(w, 0) + mult * m
     out = _brauer(datum, entries_a, char_b)
-    total = sum(m * weyl_dimension(datum, nu) for nu, m in out.items())
+    total = sum(m * _weyl_dim(datum, nu) for nu, m in out.items())
     assert total == dim_a * sum(char_b.values())
     return out
 

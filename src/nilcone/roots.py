@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
+from operator import add, mul, sub
 
 from .errors import ConfigurationError, DomainError
 
@@ -33,15 +35,15 @@ def supported_presets():
 
 
 def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def _vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def _vec_scale(c, u):
@@ -107,7 +109,8 @@ class RootDatum:
     """Root datum of one preset (or of a Levi subgroup of one).
 
     __init__ precomputes the simple roots and coroots, the positive roots,
-    rho and 2rho-check, and the integer adjugate and determinant of the
+    rho and 2rho-check, the integer factors of Weyl's dimension formula,
+    and the integer adjugate and determinant of the
     simple-root matrix (and of the Cartan matrix in the root basis), so
     root_coordinates and weight_from_pairing are integer mat-vecs; a Levi
     datum reads root coordinates off its parent.  The Weyl group and the
@@ -187,6 +190,12 @@ class RootDatum:
         self.rho = tuple(
             Fraction(sum(r.weight[k] for r in roots), 2) for k in range(self.weight_dim))
         self.two_rho = tuple(sum(r.weight[k] for r in roots) for k in range(self.weight_dim))
+        # Weyl's product formula, doubled: dim V_lam is the product of
+        # <2 lam, coroot> + shift over dim_factors, over dim_denominator
+        self.dim_factors = tuple((r.coroot, _dot(self.two_rho, r.coroot))
+                                 for r in roots)
+        self.dim_denominator = prod(shift for _, shift in self.dim_factors)
+        self.simple_pairs = tuple(zip(self.simple_coroots, self.simple_roots))
 
     # -- basic pairing and reflection operations -------------------------
 
@@ -202,7 +211,7 @@ class RootDatum:
         return _vec_sub(weight, _vec_scale(c, self.simple_roots[i]))
 
     def is_dominant(self, weight):
-        return all(self.simple_pairing(weight, i) >= 0 for i in range(self.rank))
+        return all(_dot(weight, coroot) >= 0 for coroot in self.simple_coroots)
 
     def pair_2rho_check(self, weight):
         """<weight, 2*rho-check> = sum over positive coroots of the pairing."""

@@ -218,6 +218,7 @@ def test_memo_tables_are_pure_caches(a2):
 
     before_char = irreducible_character(a2, (2, 1))
     before_mult = weight_multiplicity(a2, (2, 1), (0, 0))
+    before_branch = restrict_to_levi(a2, (0,), (2, 1))
     before_other = other_results()
     memos = set()
     for name, module in list(sys.modules.items()):
@@ -229,9 +230,11 @@ def test_memo_tables_are_pure_caches(a2):
         memo.cache_clear()
     assert irreducible_character(a2, (2, 1)) == before_char
     assert weight_multiplicity(a2, (2, 1), (0, 0)) == before_mult
+    assert restrict_to_levi(a2, (0,), (2, 1)) == before_branch
     assert other_results() == before_other
     # the public results are copies: mutating one leaves the memo intact
     for call, args in ((ch.irreducible_character, (a2, (2, 1))),
+                       (ch.restrict_to_levi, (a2, (0,), (2, 1))),
                        (sl2.convolve_ic_recursive, (-10, 4))):
         first = call(*args)
         expected = dict(first)
@@ -472,6 +475,58 @@ def test_brauer_rule_matches_product_and_max_scan(preset, subset, boxes):
                 for s in combinations(range(levi.rank), k)):
         assert list(restrict_to_levi(levi, sub, lam).items()) == \
             list(_reference_decompose(levi.levi(sub), char).items()), sub
+
+
+def test_each_irreducible_is_branched_once(a2):
+    import nilcone.characters as ch
+    levi = a2.levi((0,))
+    product = tensor_decompose(a2, (2, 1), (1, 2))
+    ch._restrict.cache_clear()
+    branched = restrict_decomposition(a2, (0,), product)
+    singles = {nu: restrict_to_levi(a2, (0,), nu) for nu in product}
+    info = ch._restrict.cache_info()
+    assert info.misses == info.hits == len(product) > 1
+    for nu, out in singles.items():
+        assert out == ch._brauer(levi, {(0, 0): 1},
+                                 irreducible_character(a2, nu))
+    total = {}
+    for nu, mult in product.items():
+        for mu, m in singles[nu].items():
+            total[mu] = total.get(mu, 0) + mult * m
+    assert branched == total
+
+
+# -- the dot action against a search of the Weyl group --------------------------
+
+def _pair(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _reference_dot_dominant(levi, weight):
+    """(sign(w), w(weight + rho) - rho) for the w in the Weyl group that
+    makes weight + rho strictly dominant, with rho in Fractions; None when
+    no w does, i.e. weight + rho lies on a wall."""
+    shifted = tuple(a + r for a, r in zip(weight, levi.rho))
+    for w in levi.weyl_elements():
+        image = tuple(_pair(row, shifted) for row in w.matrix)
+        if all(_pair(image, coroot) > 0 for coroot in levi.simple_coroots):
+            return w.sign, tuple(a - r for a, r in zip(image, levi.rho))
+    return None
+
+
+@pytest.mark.parametrize("preset", supported_presets())
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(pairing=st.lists(st.integers(-4, 3), min_size=3, max_size=3))
+def test_dot_dominant_matches_weyl_group_search(preset, pairing):
+    from nilcone.characters import _dot_dominant
+    datum = build_datum(preset)
+    try:
+        weight = datum.weight_from_pairing(pairing[:datum.rank])
+    except DomainError:
+        return
+    for levi in _levis(datum):
+        assert _dot_dominant(levi, weight) == \
+            _reference_dot_dominant(levi, weight), levi.name
 
 
 # -- weights of the wrong shape --------------------------------------------------
