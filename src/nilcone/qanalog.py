@@ -3,6 +3,8 @@
 The variable q tracks the filtration index (half the geometric degree of
 the coordinate ring grading, whose generators sit in degree 2).  All
 conversions to even geometric degrees happen in the consumers, never here.
+A graded multiplicity or Hilbert series asked for through q^T is computed
+through q^T only: every q-Kostant count below it stops at q^T.
 """
 
 from __future__ import annotations
@@ -10,9 +12,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import cache
-from .errors import DomainError
-from .qpoly import QPoly, product_truncated, geometric_series
-from .roots import _vec_sub
+from .qpoly import (QPoly, product_truncated, geometric_series,
+                    require_truncation)
+from .roots import _dot, _vec_sub
 from .characters import weyl_dimension, _require_dominant, _require_weight
 
 
@@ -26,45 +28,58 @@ def q_kostant(datum, nu):
     coords = datum.root_coordinates(tuple(nu))
     if coords is None or any(c < 0 for c in coords):
         return QPoly.zero()
-    return _q_kostant_coords(datum, coords, len(datum.positive_roots()) - 1)
+    return _q_kostant_coords(datum, coords, len(datum.positive_roots()) - 1,
+                             sum(coords))
 
 
 _STRIDE = 32
 
 
-def _q_kostant_coords(datum, coords, idx):
+def _q_kostant_coords(datum, coords, idx, top):
     """q-Kostant count P_idx(coords) of root coordinates over the positive
-    roots 0..idx.
+    roots 0..idx, through q^top.
 
-    Callers start at the highest root, which prunes fastest.  The two base
-    cases stay in front of the memo, which would otherwise hold thousands
-    of them.  The memo is first called at every _STRIDE-th point of the
-    alpha_idx-string through coords, from the bottom up, so that a miss
-    recurses at most _STRIDE steps down the string before it meets a
-    memoised point, however long the string is.
+    Callers start at the highest root, which prunes fastest.  No root
+    below alpha_idx is higher than it, so every term has degree at least
+    ceil(height(coords) / height(alpha_idx)), and the count is zero once
+    that passes top.  A count has no term above height(coords), so the memo
+    key carries min(top, height): a full count keeps one key whatever top
+    it was asked for.  The base cases stay in front of the memo, which
+    would otherwise hold thousands of them.  The memo is first called at
+    every _STRIDE-th point of the alpha_idx-string through coords, from the
+    bottom up, so that a miss recurses at most _STRIDE steps down the
+    string before it meets a memoised point, however long the string is.
     """
     if not any(coords):
         return QPoly.one()
     if idx < 0:
         return QPoly.zero()
-    root = datum.positive_roots()[idx].root_coords
-    length = min(c // r for c, r in zip(coords, root) if r)
+    root = datum.positive_roots()[idx]
+    height = sum(coords)
+    if -(-height // root.height) > top:
+        return QPoly.zero()
+    step = root.root_coords
+    length = min(c // r for c, r in zip(coords, step) if r)
     if length >= _STRIDE:
         for k in range(length, 0, -_STRIDE):
-            _q_kostant(datum, tuple(c - k * r for c, r in zip(coords, root)),
-                       idx)
-    return _q_kostant(datum, coords, idx)
+            _q_kostant(datum, tuple(c - k * r for c, r in zip(coords, step)),
+                       idx, min(top, height - k * root.height))
+    return _q_kostant(datum, coords, idx, min(top, height))
 
 
 @lru_cache(maxsize=None)
-def _q_kostant(datum, coords, idx):
-    # the string sum telescopes: P_idx(c) = P_idx-1(c) + q P_idx(c - alpha_idx)
-    out = _q_kostant_coords(datum, coords, idx - 1)
-    root = datum.positive_roots()[idx].root_coords
-    below = tuple(a - b for a, b in zip(coords, root))
-    if all(c >= 0 for c in below):
-        below = QPoly.one() if not any(below) else _q_kostant(datum, below, idx)
-        out = out + below.shifted(1)
+def _q_kostant(datum, coords, idx, top):
+    # the string sum telescopes: P_idx(c) = P_idx-1(c) + q P_idx(c - alpha_idx);
+    # the second count runs at the same top, and its shift drops q^(top+1)
+    out = _q_kostant_coords(datum, coords, idx - 1, top)
+    root = datum.positive_roots()[idx]
+    below = _vec_sub(coords, root.root_coords)
+    height = sum(below)
+    if all(c >= 0 for c in below) and -(-height // root.height) <= top:
+        below = QPoly.one() if not height else \
+            _q_kostant(datum, below, idx, min(top, height))
+        below = below.shifted(1)
+        out = out + (below.truncated(top) if top <= height else below)
     return out
 
 
@@ -82,33 +97,38 @@ def lusztig_q_analog(datum, lam, mu):
     stored = _stored_q_analog(sum(coords), cache.fetch(request))
     if stored is not None:
         return stored
-    out = _q_analog(datum, lam, mu)
+    out = _q_analog(datum, lam, coords, sum(coords))
     cache.store(request, out.to_json())
     return out
 
 
 # q-analogs kept in memory.  The repeats come from the weights of one module
 # in one Weyl orbit: a filtration-sweep round repeats 2,952 of 5,095 calls,
-# and 64 entries keep every repeat.  Elsewhere arguments rarely repeat (4 of
-# 1,421 calls on character-tables), and a larger memo only holds memory: 256
-# entries raised cli-cold's peak RSS by 1.5 %, an unbounded one by 3.9 %.
+# and 64 entries keep every repeat.  Elsewhere arguments rarely repeat (none
+# of 590 calls on character-tables, whose Hilbert terms come in truncated and
+# each once), and a larger memo only holds memory: 256 entries raised
+# cli-cold's peak RSS by 1.5 %, an unbounded one by 3.9 %.
 _Q_ANALOGS_KEPT = 64
 
 
 @lru_cache(maxsize=_Q_ANALOGS_KEPT)
-def _q_analog(datum, lam, mu):
-    """Kostant's alternating sum of q-Kostant counts; a QPoly is never
-    changed, so callers share the memoised one."""
+def _q_analog(datum, lam, coords, top):
+    """Kostant's alternating sum of q-Kostant counts through q^top, for the
+    root coordinates coords of lam - mu; a QPoly is never changed, so
+    callers share the memoised one.
+
+    Each term is P_q(w(lam + rho) - (mu + rho)), and the root coordinates of
+    its argument, (w - 1)(lam) + (w(rho) - rho) + (lam - mu), come from the
+    Weyl element's integer rows with no solve.
+    """
+    last = len(datum.positive_roots()) - 1
     out = QPoly.zero()
     for w in datum.weyl_elements():
-        # w(lam + rho) - (mu + rho) = w(lam) - mu + (w(rho) - rho)
-        arg = tuple(a - b + s
-                    for a, b, s in zip(w.apply(lam), mu, w.rho_shift))
-        coords = datum.root_coordinates(arg)
-        if coords is None or any(c < 0 for c in coords):
+        arg = tuple(_dot(row, lam) + s + c for row, s, c in
+                    zip(w.minus_one_coords, w.rho_shift_coords, coords))
+        if any(c < 0 for c in arg):
             continue
-        term = _q_kostant_coords(datum, coords,
-                                 len(datum.positive_roots()) - 1)
+        term = _q_kostant_coords(datum, arg, last, top)
         out = out + (term if w.sign > 0 else -term)
     return out
 
@@ -150,13 +170,23 @@ def p_bk_polynomial(datum, nu, lam):
     return lusztig_q_analog(datum, nu, lam_dom).shifted(shift)
 
 
-def graded_mult_in_nilcone(datum, lam):
+def graded_mult_in_nilcone(datum, lam, truncation=None):
     """Graded multiplicity of V_lam in the nilpotent-cone coordinate ring.
 
     Exponent k stands for internal/cohomological degree 2k of the dilation
-    grading on functions.
+    grading on functions.  With a truncation N, only the terms through q^N
+    are computed: every q-Kostant count stops at q^N, and neither the disk
+    cache nor the full series is read or written.
     """
-    return lusztig_q_analog(datum, lam, tuple([0] * datum.weight_dim))
+    if truncation is None:
+        return lusztig_q_analog(datum, lam, tuple([0] * datum.weight_dim))
+    require_truncation(truncation, 0)
+    _require_dominant(datum, lam)
+    lam = tuple(lam)
+    coords = datum.root_coordinates(lam)
+    if coords is None:
+        return QPoly.zero()
+    return _q_analog(datum, lam, coords, min(truncation, sum(coords)))
 
 
 def _min_exponent_bound(datum, lam):
@@ -174,13 +204,15 @@ def dominant_weights_by_pairing(datum, bound):
     """All dominant lattice weights with <lam, rho-check> <= bound.
 
     Only weights in the root-lattice span qualify (others never meet the
-    coordinate ring), which also keeps the pairing integral.
+    coordinate ring), which also keeps the pairing integral.  Layer k of
+    the search adds k simple roots to 0, so it holds the weights of
+    height k, and the search stops after layer bound.
     """
     zero = tuple([0] * datum.weight_dim)
     out = [zero]
     seen = {zero}
     frontier = [zero]
-    while frontier:
+    for _ in range(bound):
         nxt = []
         for lam in frontier:
             for root in datum.simple_roots:
@@ -188,8 +220,6 @@ def dominant_weights_by_pairing(datum, bound):
                 if cand in seen:
                     continue
                 seen.add(cand)
-                if datum.height(cand) > bound:
-                    continue
                 nxt.append(cand)
                 if datum.is_dominant(cand):
                     out.append(cand)
@@ -200,23 +230,19 @@ def dominant_weights_by_pairing(datum, bound):
 def hilbert_series_nilcone(datum, truncation):
     """Hilbert series of the nilpotent-cone coordinate ring through q^N.
 
-    Sums dim(V_lam) * graded multiplicity over the finitely many dominant
-    lam that can contribute at or below the cutoff.
+    Sums dim(V_lam) times the graded multiplicity through q^N over the
+    finitely many dominant lam that can contribute at or below the cutoff.
     """
-    if truncation < 1:
-        raise DomainError("truncation must be >= 1")
+    require_truncation(truncation, 1)
     ht_theta = datum.highest_root().height
     out = QPoly.zero()
     for lam in dominant_weights_by_pairing(datum, truncation * ht_theta):
-        gm = graded_mult_in_nilcone(datum, lam)
+        gm = graded_mult_in_nilcone(datum, lam, truncation)
         if gm.is_zero():
             continue
-        low = gm.min_exponent()
-        assert low >= _min_exponent_bound(datum, lam), \
+        assert gm.min_exponent() >= _min_exponent_bound(datum, lam), \
             "enumeration bound violated at %r" % (lam,)
-        if low > truncation:
-            continue
-        out = out + (weyl_dimension(datum, lam) * gm).truncated(truncation)
+        out = out + weyl_dimension(datum, lam) * gm
     return out
 
 

@@ -7,6 +7,8 @@ coefficient dicts is equality of polynomials.
 
 from __future__ import annotations
 
+from .errors import DomainError
+
 
 class QPoly:
     __slots__ = ("coeffs",)
@@ -164,3 +166,11 @@ def product_truncated(factors, n):
     for f in factors:
         acc = (acc * f).truncated(n)
     return acc
+
+
+def require_truncation(n, least):
+    """DomainError unless the truncation n is an int of at least least."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise DomainError("truncation must be an integer, got %r" % (n,))
+    if n < least:
+        raise DomainError("truncation must be >= %d" % least)

@@ -33,7 +33,7 @@ from math import gcd, lcm
 from numbers import Rational
 
 from .errors import DomainError, ResourceError
-from .qpoly import QPoly, product_truncated
+from .qpoly import QPoly, product_truncated, require_truncation
 from .roots import _vec_add
 from .characters import (irreducible_character, weyl_dimension,
                          _require_dominant, _require_weight)
@@ -639,9 +639,8 @@ def verify_theorem_filtrations(datum, nu, lam, dim_cap=DEFAULT_DIM_CAP):
 
 def poincare_gr(datum, truncation):
     """Series with exponents doubled: product of 1/(1 - t^(2 m_i))."""
+    require_truncation(truncation, 0)
     _, exponents = centralizer_and_exponents(datum)
-    if truncation < 0:
-        raise DomainError("truncation must be >= 0")
     factors = []
     for m in exponents:
         step = 2 * m

@@ -64,15 +64,22 @@ def _identity(n):
 
 
 class WeylElement:
-    """A Weyl group element: a reduced word, its weight-lattice matrix and
-    the integer rho shift w(rho) - rho of the dot action."""
+    """A Weyl group element: a reduced word, its weight-lattice matrix, the
+    integer rho shift w(rho) - rho of the dot action, and the root
+    coordinates of w - 1 and of the rho shift, so that w(lam) + w(rho) - rho
+    - lam has root coordinates minus_one_coords . lam + rho_shift_coords."""
 
-    __slots__ = ("word", "matrix", "rho_shift")
+    __slots__ = ("word", "matrix", "rho_shift", "minus_one_coords",
+                 "rho_shift_coords")
 
-    def __init__(self, word, matrix, rho_shift):
+    def __init__(self, word, matrix, rho_shift, minus_one_coords,
+                 rho_shift_coords):
         self.word = word
         self.matrix = matrix  # action on weights
         self.rho_shift = rho_shift
+        # row i: the alpha_i coordinate of w(e_j) - e_j, for each j
+        self.minus_one_coords = minus_one_coords
+        self.rho_shift_coords = rho_shift_coords
 
     @property
     def length(self):
@@ -336,7 +343,12 @@ class RootDatum:
         def element(word, matrix):
             # w(rho) - rho = (w(2rho) - 2rho) / 2, a sum of negative roots
             shift = _vec_sub(_mat_vec(matrix, self.two_rho), self.two_rho)
-            return WeylElement(word, matrix, tuple(c // 2 for c in shift))
+            shift = tuple(c // 2 for c in shift)
+            # w(x) - x lies in the root lattice for every weight x
+            columns = [self.root_coordinates(_vec_sub(column, unit))
+                       for column, unit in zip(zip(*matrix), _identity(n))]
+            return WeylElement(word, matrix, shift, tuple(zip(*columns)),
+                               self.root_coordinates(shift))
         ident = element((), _identity(n))
         elements = {ident.matrix: ident}
         frontier = [ident]

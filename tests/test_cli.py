@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,23 @@ def _capture(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hilbert", "--preset", "A2-adj", "--truncation", "12"],
+    ["hilbert", "--preset", "A2-adj", "--truncation", "0"],
+])
+def test_module_entry_point_matches_run(capsys, argv):
+    """`python -m nilcone` prints what cli.run prints and exits with its
+    code."""
+    code, out, err = _capture(capsys, argv)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["nilcone"].__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.run([sys.executable, "-m", "nilcone"] + argv,
+                           capture_output=True, text=True, env=env,
+                           timeout=60)
+    assert (child.returncode, child.stdout, child.stderr) == (code, out, err)
 
 
 def test_tensor_even_label_example(capsys):

@@ -7,6 +7,7 @@ from nilcone.errors import DomainError
 from nilcone.qpoly import QPoly
 from nilcone.roots import build_datum, supported_presets
 from nilcone.characters import weight_multiplicity, irreducible_character
+from nilcone import qanalog, reps
 from nilcone.qanalog import (q_kostant, lusztig_q_analog, p_bk_polynomial,
                              graded_mult_in_nilcone, hilbert_series_nilcone,
                              hilbert_series_complete_intersection,
@@ -217,3 +218,127 @@ def test_dominant_enumeration_bound(a2_adj):
     assert tuple([0, 0]) in weights
     assert all(a2_adj.height(w) <= 6 for w in weights)
     assert all(a2_adj.is_dominant(w) for w in weights)
+
+
+def test_dominant_enumeration_matches_height_filter():
+    """The layer-bounded search returns, in order, the list of a search
+    that solves every candidate's height."""
+    for preset in supported_presets():
+        datum = build_datum(preset)
+        for bound in (0, 1, 4, 7):
+            seen, frontier, expected = set(), [(0,) * datum.weight_dim], []
+            while frontier:
+                cand = frontier.pop()
+                if cand in seen or datum.height(cand) > bound:
+                    continue
+                seen.add(cand)
+                if datum.is_dominant(cand):
+                    expected.append(cand)
+                frontier += [tuple(a + b for a, b in zip(cand, root))
+                             for root in datum.simple_roots]
+            expected.sort(key=lambda w: (datum.pair_2rho_check(w), w))
+            assert dominant_weights_by_pairing(datum, bound) == expected
+
+
+def _clear_q_memos():
+    qanalog._q_kostant.cache_clear()
+    qanalog._q_analog.cache_clear()
+
+
+@pytest.mark.parametrize("preset", supported_presets())
+def test_truncated_graded_mult_is_the_truncated_series(preset):
+    """Truncating every q-Kostant count at q^T gives the full graded
+    multiplicity truncated at q^T, for T from 0 to past its top degree,
+    on the preset and on one Levi of it."""
+    datum = build_datum(preset)
+    for d in (datum, datum.levi((0,) if datum.rank > 1 else ())):
+        weights = dominant_weights_by_pairing(d, 4)
+        _clear_q_memos()
+        full = [graded_mult_in_nilcone(d, lam) for lam in weights]
+        _clear_q_memos()
+        for lam, series in zip(weights, full):
+            for t in range(d.height(lam) + 3):
+                assert graded_mult_in_nilcone(d, lam, t) == \
+                    series.truncated(t), (d, lam, t)
+
+
+def test_weyl_table_gives_root_coordinates():
+    """D_w . lam + s_w are the root coordinates of w(lam) + w(rho) - rho
+    - lam, for every Weyl element of every preset and of every Levi."""
+    for preset in supported_presets():
+        datum = build_datum(preset)
+        n = datum.weight_dim
+        probes = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+        probes += [tuple((3 * k + 5 * j) % 7 - 3 for k in range(n))
+                   for j in range(4)]
+        subsets = [tuple(i for i in range(datum.rank) if mask >> i & 1)
+                   for mask in range(2 ** datum.rank)]
+        for d in [datum] + [datum.levi(s) for s in subsets]:
+            for w in d.weyl_elements():
+                for lam in probes:
+                    table = tuple(
+                        sum(a * b for a, b in zip(row, lam)) + s
+                        for row, s in zip(w.minus_one_coords,
+                                          w.rho_shift_coords))
+                    moved = tuple(a + s - b for a, s, b in
+                                  zip(w.apply(lam), w.rho_shift, lam))
+                    assert table == d.root_coordinates(moved), (d, w, lam)
+
+
+def test_truncated_terms_skip_the_disk_cache(tmp_path, monkeypatch, a2_adj):
+    """A truncated Hilbert sum writes no cache entry and leaves no
+    truncated count where a full one is looked up."""
+    monkeypatch.setenv("NILCONE_CACHE_DIR", str(tmp_path))
+    _clear_q_memos()
+    series = hilbert_series_nilcone(a2_adj, 3)
+    assert series == hilbert_series_complete_intersection([1, 2], 8, 3)
+    assert not list(tmp_path.iterdir())
+    lam = a2_adj.weight_from_pairing((3, 3))
+    assert graded_mult_in_nilcone(a2_adj, lam, 3) == QPoly({3: 1})
+    assert graded_mult_in_nilcone(a2_adj, lam) == \
+        QPoly({3: 1, 4: 1, 5: 1, 6: 1})
+    assert len(list(tmp_path.glob("*.json"))) == 1
+
+
+def test_truncated_hilbert_sum_keeps_the_memo_small(g2):
+    # a full count of every term left 47,655 entries
+    _clear_q_memos()
+    hilbert_series_nilcone(g2, 40)
+    assert qanalog._q_kostant.cache_info().currsize < 30000
+
+
+def test_sum_route_names_no_product_route():
+    """Nothing the sum route of the Hilbert series runs in qanalog names
+    a function of the product route it is checked against."""
+    product_route = {"product_truncated", "geometric_series",
+                     "hilbert_series_complete_intersection"}
+    todo = [qanalog.hilbert_series_nilcone, qanalog.graded_mult_in_nilcone]
+    done = set()
+    while todo:
+        fn = todo.pop()
+        fn = getattr(fn, "__wrapped__", fn)
+        if fn.__name__ in done:
+            continue
+        done.add(fn.__name__)
+        names = set(fn.__code__.co_names)
+        assert not names & product_route, (fn.__name__, names & product_route)
+        todo += [getattr(qanalog, name) for name in names
+                 if getattr(getattr(qanalog, name, None), "__module__", None)
+                 == "nilcone.qanalog"]
+    assert {"_q_analog", "_q_kostant", "_q_kostant_coords"} <= done
+
+
+@pytest.mark.parametrize("function,truncation", [
+    ("hilbert", 2.5), ("hilbert", 0), ("graded", 2.5), ("graded", -1),
+    ("graded", True), ("poincare", 2.5), ("poincare", -1)])
+def test_bad_truncations_are_domain_errors(function, truncation, a2_adj,
+                                           monkeypatch):
+    """poincare_gr checks its truncation before it builds the centralizer."""
+    def no_centralizer(datum):
+        raise AssertionError("built the centralizer for a bad truncation")
+    monkeypatch.setattr(reps, "centralizer_and_exponents", no_centralizer)
+    call = {"hilbert": hilbert_series_nilcone,
+            "graded": lambda d, t: graded_mult_in_nilcone(d, (1, 1), t),
+            "poincare": reps.poincare_gr}[function]
+    with pytest.raises(DomainError):
+        call(a2_adj, truncation)
