@@ -167,7 +167,13 @@ def cmd_hom(args):
         table = slice_table
     else:
         if kostant != slice_table:
-            raise DomainError("dual-route disagreement; this is a bug")
+            key = min(k for k in kostant.keys() | slice_table.keys()
+                      if kostant.get(k) != slice_table.get(k))
+            raise DomainError(
+                "dual-route disagreement on %s at (internal %d, cohomological "
+                "%d): kostant %d, slice %d; this is a bug"
+                % (datum.name, key[0], key[1], kostant.get(key, 0),
+                   slice_table.get(key, 0)))
         table = kostant
     payload = homspaces.profile_to_json(source, target, table)
     tsv = "\n".join("%d\t%d\t%d" % (d, k, v)

@@ -6,9 +6,14 @@ independent routes that must agree:
 
 * the Kostant route: tensor decomposition plus graded multiplicities of the
   coordinate ring (module qanalog);
-* the slice route: honest linear algebra at the principal nilpotent, cutting
-  out maps that commute with its centralizer and with the center, graded by
-  the cocharacter that contracts onto it.
+* the slice route: honest linear algebra at the principal nilpotent e,
+  cutting out maps that commute with its centralizer and with the center,
+  graded by the cocharacter that contracts onto it.  Each module is
+  summarised once as a sum of strings of a principal sl2 through e
+  (Kostant, 1959).  A map commuting with e is fixed by the images of the
+  strings' lowest vectors, Hom over k[e] between strings of lengths a and
+  b has dimension min(a, b), and the centralizer elements of degree > 2
+  cut the equivariant maps out of those, one system per pair and degree.
 
 Morphisms are modelled by their values at the principal nilpotent: the
 regular orbit misses only a codimension-two locus, so functions (hence
@@ -20,15 +25,17 @@ qanalog are doubled at this boundary only.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import lcm
 
 from .errors import DomainError
 from .roots import _vec_sub
 from .characters import (tensor_decompose, dual_weight, restrict_to_levi,
                          _require_dominant)
 from .qanalog import graded_mult_in_nilcone
-from .reps import (build_irrep, centralizer_and_exponents, op_add,
-                   op_compose, op_equal, op_transpose, _op_norm,
-                   _strip_column, int_columns_rank, DEFAULT_DIM_CAP)
+from .reps import (build_irrep, check_dim_cap, centralizer_and_exponents,
+                   principal_e, op_add, op_apply, op_compose, op_equal,
+                   _op_norm, _build_irrep, _eliminate, _strip_column,
+                   int_columns_rank, DEFAULT_DIM_CAP)
 
 
 def free_object(summands):
@@ -87,59 +94,159 @@ def hom_profile_kostant(datum, source, target):
 
 
 def hom_profile_slice(datum, source, target, dim_cap=DEFAULT_DIM_CAP):
-    """Same table, via equivariant linear algebra at the principal nilpotent."""
+    """Same table, over the principal sl2 strings of each summand
+    (:func:`_strings`), one system per summand pair (:func:`_slice_pair`).
+    Every summand passes the dimension cap before any module is built."""
+    for lam, _ in [*source, *target]:
+        check_dim_cap(datum, lam, dim_cap)
     table = {}
     for lam, i in source:
         for mu, j in target:
-            for degree, dim in _slice_pair(datum, lam, mu, dim_cap):
+            for degree, dim in _slice_pair(datum, lam, mu):
                 key = (j - i, degree)
                 table[key] = table.get(key, 0) + dim
     return {k: v for k, v in table.items() if v}
 
 
+def _f_coefficients(datum):
+    """c_i with [e, sum c_i f_i] = sum c_i h_i = 2 rho-check for e = sum e_i:
+    c_i is the alpha_i-check coordinate of the sum of the positive coroots."""
+    return [sum(r.root_coords[i] * datum.symmetrizers[i] // r.length_sq_half
+                for r in datum.positive_roots())
+            for i in range(datum.rank)]
+
+
 @lru_cache(maxsize=None)
-def _slice_pair(datum, lam, mu, dim_cap):
-    """((degree, dim), ...) of the equivariant maps V_lam -> V_mu; dim_cap
-    is part of the memo key, so a smaller cap still raises."""
+def _strings(datum, lam):
+    """V_lam as a sum of principal sl2 strings: (bottoms, images), in ints.
+
+    e = sum e_i, h = 2 rho-check and f = sum c_i f_i span a principal sl2
+    (Kostant, Amer. J. Math. 81, 1959); h acts on the layer of principal
+    degree d by d.  The lowest vectors g_k (f g_k = 0) of each layer
+    d_k <= 0 generate V_lam over k[e]: the string g_k, e g_k, ...,
+    e^(a_k - 1) g_k has length a_k = 1 - d_k, and the strings form a basis.
+    bottoms[k] is d_k.  images has one entry (den, rows) per centralizer
+    element x of degree > 2, in order: rows[k] lists (k', j, num) with
+    den * x g_k = sum num * e^j g_k', so a pair of modules never needs
+    either module again.
+    """
     elements, _ = centralizer_and_exponents(datum)
+    assert elements[0].degree == 2 and len(set(elements[0].coeffs)) == 1, \
+        "the degree-2 centralizer element is not a multiple of e"
+    rep = _build_irrep(datum, lam)
+    e = principal_e(rep)
+    f = {}
+    for i, c in enumerate(_f_coefficients(datum)):
+        f = op_add(f, rep.f_ops[i], c)
+    layers = {}
+    for w, idxs in rep.weight_spaces.items():
+        layers.setdefault(datum.pair_2rho_check(w), []).extend(idxs)
+
+    bottoms = []
+    strings = []  # strings[k][j] = e^j g_k
+    top = max(layers)
+    # shortest strings first, which keeps the integers of _slice_pair small
+    for d in range(-(top % 2), -top - 1, -2):
+        idxs = layers[d]
+        for kernel in _eliminate([f.get(b, {}) for b in idxs], rep.dim)[1]:
+            vec = [{b: v for b, v in zip(idxs, kernel) if v}]
+            for _ in range(-d):
+                vec.append(op_apply(e, vec[-1]))
+            assert vec[-1] and not op_apply(e, vec[-1]), \
+                "a string of V_%r without length 1 - %d" % (lam, d)
+            bottoms.append(d)
+            strings.append(vec)
+    assert sum(len(vec) for vec in strings) == rep.dim, \
+        "the strings of V_%r do not add up to its dimension" % (lam,)
+
+    # string coordinates by layer: one kernel solve per target layer, over
+    # the layer's string basis followed by the images that land there
+    basis = {}  # layer -> [(k, j)]
+    for k, vec in enumerate(strings):
+        for j in range(len(vec)):
+            basis.setdefault(bottoms[k] + 2 * j, []).append((k, j))
+    targets = {}  # layer -> [(element index, k, x g_k)]
+    for t, el in enumerate(elements[1:]):
+        x = el.realize(rep)
+        for k, vec in enumerate(strings):
+            targets.setdefault(bottoms[k] + el.degree, []).append(
+                (t, k, op_apply(x, vec[0])))
+    solved = [[None] * len(strings) for _ in elements[1:]]
+    for layer, found in targets.items():
+        cells = basis.get(layer, [])
+        columns = [strings[k][j] for k, j in cells]
+        kernel = _eliminate(columns + [image for _, _, image in found],
+                            rep.dim)[1]
+        # the string basis is independent, so the m-th kernel vector is
+        # nonzero at the m-th image and otherwise on the basis only
+        assert len(kernel) == len(found)
+        n = len(cells)
+        for m, ((t, k, _), vec) in enumerate(zip(found, kernel)):
+            # vec[n + m] * x g_k + sum_s vec[s] * (string basis)_s = 0
+            sign = -1 if vec[n + m] > 0 else 1
+            solved[t][k] = (-sign * vec[n + m],
+                            [(k2, j2, sign * vec[s])
+                             for s, (k2, j2) in enumerate(cells) if vec[s]])
+    images = []
+    for row in solved:
+        den = lcm(*(d for d, _ in row))
+        images.append((den, tuple(tuple((k2, j2, num * (den // d))
+                                        for k2, j2, num in terms)
+                                  for d, terms in row)))
+    return tuple(bottoms), tuple(images)
+
+
+@lru_cache(maxsize=None)
+def _slice_pair(datum, lam, mu):
+    """((degree, dim), ...) of the equivariant maps V_lam -> V_mu.
+
+    The unknowns are the coordinates of phi(g_k) over the target strings
+    e^j h_l that e^(a_k) kills: j >= b_l - a_k, so min(a_k, b_l) of them
+    for each pair of strings.  The equations are phi(x g_k) = x phi(g_k)
+    for each centralizer element x of degree > 2, in target string
+    coordinates times both denominators; rank one has none.  They are
+    ranked as columns over the unknowns in decreasing order of their first
+    unknown, so a column seldom meets a pivot at its first row and is
+    mostly kept as it is, which keeps the integers small.
+    """
     if not same_center_component(datum, lam, mu):
         return ()
-    rep_s = build_irrep(datum, lam, dim_cap)
-    rep_t = build_irrep(datum, mu, dim_cap)
-    ops_s = [el.realize(rep_s) for el in elements]
-    ops_t = [el.realize(rep_t) for el in elements]
-
-    pdeg_s = [rep_s.principal_degree(a) for a in range(rep_s.dim)]
-    pdeg_t = [rep_t.principal_degree(b) for b in range(rep_t.dim)]
-    cells_by_degree = {}
-    for s in range(rep_s.dim):
-        for t in range(rep_t.dim):
-            cells_by_degree.setdefault(pdeg_t[t] - pdeg_s[s], []).append((t, s))
-
-    # transposed source action: row index -> {col: value}
-    rows_s = [op_transpose(X) for X in ops_s]
-
+    bottoms_s, images_s = _strings(datum, lam)
+    bottoms_t, images_t = _strings(datum, mu)
+    lengths_t = [1 - d for d in bottoms_t]
+    unknowns = {}  # degree -> {k: [(l, j) of the unknowns of phi(g_k)]}
+    for k, d_k in enumerate(bottoms_s):
+        for l, d_l in enumerate(bottoms_t):
+            for j in range(max(0, d_k - d_l), lengths_t[l]):
+                by_source = unknowns.setdefault(d_l + 2 * j - d_k, {})
+                by_source.setdefault(k, []).append((l, j))
     out = []
-    for w in sorted(cells_by_degree):
-        cells = cells_by_degree[w]
-        eq_index = {}
-        columns = []
-        for (t, s) in cells:
-            col = {}
-            for xi, X_t in enumerate(ops_t):
-                tcol = X_t.get(t)
-                if tcol:
-                    for t2, v in tcol.items():
-                        eq = eq_index.setdefault((xi, t2, s), len(eq_index))
-                        col[eq] = col.get(eq, 0) + v
-                srow = rows_s[xi].get(s)
-                if srow:
-                    for s2, v in srow.items():
-                        eq = eq_index.setdefault((xi, t, s2), len(eq_index))
-                        col[eq] = col.get(eq, 0) - v
-            columns.append(_strip_column(col))
-        rank = int_columns_rank(columns)
-        dim = len(cells) - rank
+    for w in sorted(unknowns):
+        cells = unknowns[w]
+        index = {}
+        for k, row in cells.items():
+            for l, j in row:
+                index[(k, l, j)] = len(index)
+        equations = {}
+        for t, ((den_s, rows_s), (den_t, rows_t)) in enumerate(
+                zip(images_s, images_t)):
+            for k, row in enumerate(rows_s):
+                for k2, j2, num in row:
+                    for l, j in cells.get(k2, ()):
+                        if j + j2 < lengths_t[l]:
+                            eq = equations.setdefault((t, k, l, j + j2), {})
+                            u = index[(k2, l, j)]
+                            eq[u] = eq.get(u, 0) + den_t * num
+                for l, j in cells.get(k, ()):
+                    u = index[(k, l, j)]
+                    for l2, j2, num in rows_t[l]:
+                        if j + j2 < lengths_t[l2]:
+                            eq = equations.setdefault((t, k, l2, j + j2), {})
+                            eq[u] = eq.get(u, 0) - den_s * num
+        columns = [col for col in map(_strip_column, equations.values())
+                   if col]
+        columns.sort(key=min, reverse=True)
+        dim = len(index) - int_columns_rank(columns)
         if dim:
             out.append((w, dim))
     return tuple(out)

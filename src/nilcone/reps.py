@@ -324,15 +324,21 @@ class MatrixRep:
         }
 
 
-def build_irrep(datum, lam, dim_cap=DEFAULT_DIM_CAP):
-    """Construct the irreducible module with highest weight lam."""
+def check_dim_cap(datum, lam, dim_cap=DEFAULT_DIM_CAP):
+    """lam as a tuple, once it is dominant and dim V_lam is within dim_cap;
+    checked from the Weyl dimension, before any module is built."""
     _require_dominant(datum, lam)
     lam = tuple(lam)
     dim = weyl_dimension(datum, lam)
     if dim > dim_cap:
         raise ResourceError(
             "dim V_%r = %d exceeds the cap %d" % (lam, dim, dim_cap))
-    return _build_irrep(datum, lam)
+    return lam
+
+
+def build_irrep(datum, lam, dim_cap=DEFAULT_DIM_CAP):
+    """Construct the irreducible module with highest weight lam."""
+    return _build_irrep(datum, check_dim_cap(datum, lam, dim_cap))
 
 
 @lru_cache(maxsize=_MODULES_KEPT)

@@ -144,6 +144,28 @@ def test_hom_both_routes(capsys):
     assert entries == [{"internal": 0, "cohomological": 2, "dim": 1}]
 
 
+def test_hom_disagreement_names_its_counterexample(capsys, monkeypatch):
+    """A disagreement of the two Hom routes is one domain error line naming
+    the preset, the first differing (internal, cohomological) key and both
+    values."""
+    from nilcone import homspaces
+    slice_route = homspaces.hom_profile_slice
+
+    def broken(datum, source, target, dim_cap):
+        table = slice_route(datum, source, target, dim_cap)
+        table[(0, 4)] += 1
+        table[(0, 6)] = 1
+        return table
+    monkeypatch.setattr(homspaces, "hom_profile_slice", broken)
+    code, out, err = _capture(capsys, ["hom", "--preset", "A1-adj",
+                                       "--source", "2@0", "--target", "2@0",
+                                       "--route", "both"])
+    assert code == 1 and not out
+    assert err == ("error\tdomain\tdual-route disagreement on A1-adj at "
+                   "(internal 0, cohomological 4): kostant 1, slice 2; this "
+                   "is a bug\n")
+
+
 def test_sl2_table_tsv(capsys):
     code, out, _ = _capture(capsys, ["sl2-table", "--object", "proj",
                                      "--labels", "0"])

@@ -1,11 +1,15 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nilcone.errors import DomainError, ResourceError
-from nilcone.roots import build_datum
-from nilcone.characters import weyl_dimension
-from nilcone.reps import build_irrep, principal_e
+from nilcone.roots import build_datum, supported_presets
+from nilcone.characters import weyl_dimension, irreducible_character
+from nilcone.reps import (build_irrep, principal_e, op_add, op_commutator,
+                          _build_irrep)
+import nilcone.homspaces as homspaces
 from nilcone.homspaces import (free_object, structure_sheaf,
                                hom_profile_kostant, hom_profile_slice,
                                collapse_profile, adjunction_check,
@@ -63,6 +67,106 @@ def test_dimension_cap_holds_for_cached_slice_pairs(a2):
     assert hom_profile_slice(a2, v, v)
     with pytest.raises(ResourceError):
         hom_profile_slice(a2, v, v, dim_cap=10)
+
+
+def test_slice_route_builds_each_module_once():
+    """Each module of the A2-sc dual-route pool is built once, plus the
+    adjoint module for the centralizer, however the pairs are ordered."""
+    datum = build_datum("A2-sc")
+    weights = dominant_weights_with_dim_cap(datum, 60)
+    pairs = [(lam, mu) for lam in weights for mu in weights
+             if weyl_dimension(datum, lam) * weyl_dimension(datum, mu) <= 60]
+    for memo in (_build_irrep, homspaces._strings, homspaces._slice_pair):
+        memo.cache_clear()
+    for lam, mu in pairs:
+        hom_profile_slice(datum, free_object([(lam, 0)]),
+                          free_object([(mu, 0)]))
+    distinct = {w for pair in pairs for w in pair}
+    assert _build_irrep.cache_info().misses <= len(distinct) + 1
+
+
+def test_slice_route_checks_every_cap_before_building(a2):
+    """A summand over the cap raises even when no pair of the two objects
+    shares a central character, and nothing is built."""
+    _build_irrep.cache_clear()
+    big = free_object([((9, 9), 0)])
+    small = free_object([((1, 0), 0)])
+    assert not same_center_component(a2, (9, 9), (1, 0))
+    for source, target in ((big, small), (small, big)):
+        with pytest.raises(ResourceError):
+            hom_profile_slice(a2, source, target, dim_cap=50)
+    with pytest.raises(DomainError):
+        hom_profile_slice(a2, free_object([((-1, 0), 0)]), small)
+    assert _build_irrep.cache_info().misses == 0
+
+
+@pytest.mark.parametrize("preset", supported_presets())
+def test_f_completes_the_principal_sl2(preset):
+    """sum c_i alpha_i-check is 2 rho-check, so [e, sum c_i f_i] acts on
+    each basis vector by its principal degree."""
+    datum = build_datum(preset)
+    c = homspaces._f_coefficients(datum)
+    assert all(isinstance(ci, int) and ci > 0 for ci in c)
+    two_rho_check = tuple(sum(r.coroot[k] for r in datum.positive_roots())
+                          for k in range(datum.weight_dim))
+    assert tuple(sum(ci * co[k] for ci, co in zip(c, datum.simple_coroots))
+                 for k in range(datum.weight_dim)) == two_rho_check
+    rep = build_irrep(datum, datum.highest_root().weight)
+    f = {}
+    for i, ci in enumerate(c):
+        f = op_add(f, rep.f_ops[i], ci)
+    h = {b: {b: rep.principal_degree(b)} for b in range(rep.dim)
+         if rep.principal_degree(b)}
+    assert op_commutator(principal_e(rep), f) == h
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(preset=st.sampled_from(["A1-sc", "A2-sc", "B2-sc", "G2"]),
+       pairing=st.lists(st.integers(0, 4), min_size=2, max_size=2))
+def test_strings_match_the_layer_dimensions(preset, pairing):
+    """The principal sl2 strings of V_lam have lengths adding up to dim
+    V_lam, and dim(layer d) - dim(layer d - 2) of them start in each layer
+    d <= 0; both dimensions are read from the character."""
+    datum = build_datum(preset)
+    lam = datum.weight_from_pairing(tuple(pairing[:datum.rank]))
+    dim = weyl_dimension(datum, lam)
+    assume(dim <= 100)
+    bottoms, _ = homspaces._strings(datum, lam)
+    assert sum(1 - d for d in bottoms) == dim
+    layers = Counter()
+    for w, m in irreducible_character(datum, lam).items():
+        layers[datum.pair_2rho_check(w)] += m
+    starts = Counter(bottoms)
+    assert set(starts) <= {d for d in layers if d <= 0}
+    for d in layers:
+        if d <= 0:
+            assert starts[d] == layers[d] - layers[d - 2], (d, starts)
+
+
+def test_slice_route_on_a_large_pair(a2):
+    """A2-sc V(4, 4) -> V(4, 4): 1,221 unknowns over the strings (15,625
+    cells before), the same profile as the Kostant route."""
+    v = free_object([((4, 4), 0)])
+    table = hom_profile_slice(a2, v, v)
+    assert table == hom_profile_kostant(a2, v, v)
+    assert sum(table.values()) == 325
+
+
+def test_rank_one_slice_route_still_ranks(a1_adj, monkeypatch):
+    """On rank one no centralizer element of degree > 2 is left, so every
+    system has no equations; the route still ranks each one."""
+    calls = []
+    rank = homspaces.int_columns_rank
+
+    def counted(columns):
+        calls.append(len(columns))
+        return rank(columns)
+    monkeypatch.setattr(homspaces, "int_columns_rank", counted)
+    homspaces._slice_pair.cache_clear()
+    table = hom_profile_slice(a1_adj, structure_sheaf(a1_adj),
+                              free_object([((1,), 0)]))
+    assert table == {(0, 2): 1}
+    assert calls == [0]
 
 
 def test_dual_route_multi_summand_with_shifts(a2):
