@@ -33,7 +33,7 @@ def fetch(request):
             blob = json.load(fh)
     except (OSError, ValueError):
         return None
-    if blob.get("request") != request:
+    if not isinstance(blob, dict) or blob.get("request") != request:
         return None
     return blob.get("value")
 

@@ -39,10 +39,13 @@ from .reps import (build_irrep, check_dim_cap, centralizer_and_exponents,
 
 
 def free_object(summands):
-    """Normalize a multiset of (dominant weight, internal degree) pairs."""
+    """Normalize a multiset of (dominant weight, internal degree) pairs;
+    every degree must be an int (not a bool)."""
     out = []
     for w, i in summands:
-        out.append((tuple(w), int(i)))
+        if not isinstance(i, int) or isinstance(i, bool):
+            raise DomainError("internal degree must be an int, got %r" % (i,))
+        out.append((tuple(w), i))
     return tuple(sorted(out))
 
 
@@ -138,16 +141,13 @@ def _strings(datum, lam):
     f = {}
     for i, c in enumerate(_f_coefficients(datum)):
         f = op_add(f, rep.f_ops[i], c)
-    layers = {}
-    for w, idxs in rep.weight_spaces.items():
-        layers.setdefault(datum.pair_2rho_check(w), []).extend(idxs)
 
     bottoms = []
     strings = []  # strings[k][j] = e^j g_k
-    top = max(layers)
+    top = max(rep.layers)
     # shortest strings first, which keeps the integers of _slice_pair small
     for d in range(-(top % 2), -top - 1, -2):
-        idxs = layers[d]
+        idxs = rep.layers[d]
         for kernel in _eliminate([f.get(b, {}) for b in idxs], rep.dim)[1]:
             vec = [{b: v for b, v in zip(idxs, kernel) if v}]
             for _ in range(-d):
@@ -196,7 +196,6 @@ def _strings(datum, lam):
     return tuple(bottoms), tuple(images)
 
 
-@lru_cache(maxsize=None)
 def _slice_pair(datum, lam, mu):
     """((degree, dim), ...) of the equivariant maps V_lam -> V_mu.
 
@@ -303,16 +302,18 @@ def orlov_degree_hom(datum, lam, mu, i, j):
 
 
 def orlov_axiom_check(datum, lam, mu, i, j):
-    """Vanishing off the strict degree decrease, one-dimensional diagonal."""
-    dim = orlov_degree_hom(datum, lam, mu, i, j)
-    if j == i:
-        return dim == (1 if tuple(lam) == tuple(mu) else 0)
-    if (j - i) % 2 or j > i:
-        return dim == 0
-    # admissible slot: consistency with the full profile
+    """Vanishing off the strict degree decrease, one-dimensional diagonal.
+
+    Where the axioms claim a value (i = j, or an odd or negative gap
+    i - j), orlov_degree_hom must equal the Kostant profile's entry at
+    (j - i, i - j); an admissible slot claims nothing and is not checked.
+    """
+    gap = i - j
+    if gap > 0 and gap % 2 == 0:
+        return True
     table = hom_profile_kostant(datum, free_object([(lam, i)]),
                                 free_object([(mu, j)]))
-    return dim == table.get((j - i, i - j), 0)
+    return orlov_degree_hom(datum, lam, mu, i, j) == table.get((-gap, gap), 0)
 
 
 # -- concrete morphisms ----------------------------------------------------------

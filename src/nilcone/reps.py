@@ -20,8 +20,10 @@ of the principal nilpotent e come from one top-down pass over the
 principal-degree layers (:func:`_layer_rows`), whose labelled rows
 bk_filtration restricts to a weight space, one rank per label.
 
-Built modules and their layer rows are memoised with functools.lru_cache,
-at most 12 of each; a module object is never changed after it is built.
+Modules are not memoised: each call of build_irrep builds one.  The layer
+rows of at most 12 modules are memoised with functools.lru_cache, each row
+set holding its module; a module object is never changed after it is
+built.
 
 Operators are stored sparsely as {column: {row: int}}.
 """
@@ -39,7 +41,7 @@ from .characters import (irreducible_character, weyl_dimension,
                          _require_dominant, _require_weight)
 
 DEFAULT_DIM_CAP = 400
-# matrix modules, and layer rows of modules, kept in memory
+# layer rows of matrix modules kept in memory, each row set holding its module
 _MODULES_KEPT = 12
 
 
@@ -258,10 +260,12 @@ class MatrixRep:
         self.e_ops = e_ops  # one sparse op per simple index
         self.f_ops = f_ops
         self.dim = len(basis)
-        self.index_of = {bk: i for i, bk in enumerate(basis)}
-        self.weight_spaces = {}
+        self.weight_spaces = {}  # weight -> basis indices
+        self.layers = {}  # principal degree -> basis indices
         for i, (w, _) in enumerate(basis):
             self.weight_spaces.setdefault(w, []).append(i)
+        for w, idxs in self.weight_spaces.items():
+            self.layers.setdefault(datum.pair_2rho_check(w), []).extend(idxs)
 
     def h_op(self, i):
         out = {}
@@ -341,7 +345,6 @@ def build_irrep(datum, lam, dim_cap=DEFAULT_DIM_CAP):
     return _build_irrep(datum, check_dim_cap(datum, lam, dim_cap))
 
 
-@lru_cache(maxsize=_MODULES_KEPT)
 def _build_irrep(datum, lam):
     char = irreducible_character(datum, lam)
     rank = datum.rank
@@ -407,7 +410,7 @@ def principal_e(rep, coefficients=None):
     return out
 
 
-# -- abstract root vectors and the centralizer of e ---------------------------
+# -- positive root vectors and the centralizer of e ---------------------------
 
 def _pos_root_tree(datum, gamma_coords):
     """Bracket recipe for a root vector: chain of simple indices.
@@ -434,37 +437,17 @@ def _pos_root_tree(datum, gamma_coords):
     return chain
 
 
-def realize_root_vector(rep, chain, negative=False):
-    """Evaluate a bracket recipe in a module (e side or f side)."""
-    gens = rep.f_ops if negative else rep.e_ops
-    acc = gens[chain[-1]]
+def realize_root_vector(rep, chain):
+    """Evaluate a bracket recipe of simple raising operators in a module."""
+    acc = rep.e_ops[chain[-1]]
     for j in reversed(chain[:-1]):
-        acc = op_commutator(gens[j], acc)
+        acc = op_commutator(rep.e_ops[j], acc)
     return acc
 
 
-def _abstract_basis(datum):
-    """Basis of the Lie algebra as bracket recipes with principal degrees."""
-    items = []
-    for i in range(datum.rank):
-        items.append(("h", i, 0))
-    for r in datum.positive_roots():
-        deg = datum.pair_2rho_check(r.weight)
-        chain = tuple(_pos_root_tree(datum, r.root_coords))
-        items.append(("pos", chain, deg))
-        items.append(("neg", chain, -deg))
-    return items
-
-
-def realize_abstract(rep, item):
-    kind, payload, _deg = item
-    if kind == "h":
-        return rep.h_op(payload)
-    return realize_root_vector(rep, list(payload), negative=(kind == "neg"))
-
-
 class CentralizerElement:
-    """Element of the centralizer of e, as coefficients over bracket recipes."""
+    """Element of the centralizer of e, as coefficients over bracket recipes
+    of positive root vectors (:func:`_pos_root_tree`)."""
 
     __slots__ = ("degree", "items", "coeffs")
 
@@ -475,9 +458,9 @@ class CentralizerElement:
 
     def realize(self, rep):
         out = {}
-        for item, c in zip(self.items, self.coeffs):
+        for chain, c in zip(self.items, self.coeffs):
             if c:
-                out = op_add(out, realize_abstract(rep, item), c)
+                out = op_add(out, realize_root_vector(rep, chain), c)
         return out
 
 
@@ -485,22 +468,25 @@ class CentralizerElement:
 def centralizer_and_exponents(datum):
     """Homogeneous basis of the centralizer of e, and the exponents.
 
-    Solves [x, e] = 0 degree by degree in the adjoint module; the basis
-    elements come back as abstract bracket combinations reusable in any
-    module, with principal degrees 2 m_1 <= ... <= 2 m_r.
+    The centralizer has one element in each degree 2 m_i > 0 (Kostant,
+    1959), so it lies in the span of the positive root vectors, and a root
+    vector of height m has principal degree 2m.  [x, e] = 0 is solved
+    height by height in the adjoint module; the basis elements come back
+    as combinations of bracket recipes reusable in any module, with
+    principal degrees 2 m_1 <= ... <= 2 m_r.
     """
     adj = build_irrep(datum, datum.highest_root().weight)
     e = principal_e(adj)
-    items = _abstract_basis(datum)
-    by_degree = {}
-    for item in items:
-        by_degree.setdefault(item[2], []).append(item)
+    by_height = {}
+    for r in datum.positive_roots():
+        by_height.setdefault(r.height, []).append(
+            tuple(_pos_root_tree(datum, r.root_coords)))
 
     elements = []
-    for deg in sorted(by_degree):
-        group = by_degree[deg]
-        mats = [realize_abstract(adj, item) for item in group]
-        brackets = [op_commutator(m, e) for m in mats]
+    for m in sorted(by_height):
+        group = by_height[m]
+        brackets = [op_commutator(realize_root_vector(adj, chain), e)
+                    for chain in group]
         # vectorize each bracket and find the joint kernel over coefficients
         cells = sorted({(c, r) for b in brackets for c, col in b.items() for r in col})
         cell_index = {cell: t for t, cell in enumerate(cells)}
@@ -513,12 +499,8 @@ def centralizer_and_exponents(datum):
                     col[cell_index[(c, r)]] = v
             cols.append(col)
         for coeffs in _eliminate(cols, rows)[1]:
-            elements.append(CentralizerElement(deg, group, coeffs))
+            elements.append(CentralizerElement(2 * m, group, coeffs))
 
-    elements.sort(key=lambda el: el.degree)
-    for el in elements:
-        assert el.degree > 0 and el.degree % 2 == 0, \
-            "unexpected centralizer degree %r" % (el.degree,)
     exponents = [el.degree // 2 for el in elements]
     assert len(exponents) == datum.rank
     return elements, exponents
@@ -577,15 +559,13 @@ def _layer_rows(rep, coefficients=None):
     e = principal_e(rep, coefficients)
     # e transposed: the coordinate row of each target basis vector
     e_rows = op_transpose(e)
-    layers = {}
-    for w, idxs in rep.weight_spaces.items():
-        layers.setdefault(rep.datum.pair_2rho_check(w), []).extend(idxs)
     out = {}
-    for d in sorted(layers, reverse=True):
+    for d in sorted(rep.layers, reverse=True):
         rows = [(label + 1, _strip_column(op_apply(e_rows, row)))
                 for label, row in out.get(d + 2, ())]
         rows = [(label, row) for label, row in rows if row]
-        rows += [(1, e_rows[j]) for j in layers.get(d + 2, ()) if j in e_rows]
+        rows += [(1, e_rows[j]) for j in rep.layers.get(d + 2, ())
+                 if j in e_rows]
         kept, _ = _eliminate([row for _, row in rows])
         out[d] = [(rows[j][0], row) for j, row in kept.items()]
     return out

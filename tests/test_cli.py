@@ -207,6 +207,11 @@ def test_cache_dir_round_trip(tmp_path, capsys, monkeypatch):
         f.write_text("{not json")
     _, third, _ = _capture(capsys, argv)
     assert first == third
+    # so is a file holding JSON that is not an object
+    for payload in ("[]", "1", "null"):
+        for f in files:
+            f.write_text(payload)
+        assert _capture(capsys, argv) == (0, first, ""), payload
 
 
 _TAMPERED = {

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -8,7 +9,7 @@ from nilcone.errors import DomainError, ResourceError
 from nilcone.roots import build_datum, supported_presets
 from nilcone.characters import weyl_dimension, irreducible_character
 from nilcone.reps import (build_irrep, principal_e, op_add, op_commutator,
-                          _build_irrep)
+                          MatrixRep)
 import nilcone.homspaces as homspaces
 from nilcone.homspaces import (free_object, structure_sheaf,
                                hom_profile_kostant, hom_profile_slice,
@@ -69,26 +70,39 @@ def test_dimension_cap_holds_for_cached_slice_pairs(a2):
         hom_profile_slice(a2, v, v, dim_cap=10)
 
 
-def test_slice_route_builds_each_module_once():
+def _count_builds(monkeypatch):
+    """The highest weight of every module built from now on: each build
+    ends with one MatrixRep.validate."""
+    builds = []
+    validate = MatrixRep.validate
+
+    def counted(rep):
+        builds.append(rep.highest_weight)
+        return validate(rep)
+    monkeypatch.setattr(MatrixRep, "validate", counted)
+    return builds
+
+
+def test_slice_route_builds_each_module_once(monkeypatch):
     """Each module of the A2-sc dual-route pool is built once, plus the
     adjoint module for the centralizer, however the pairs are ordered."""
     datum = build_datum("A2-sc")
     weights = dominant_weights_with_dim_cap(datum, 60)
     pairs = [(lam, mu) for lam in weights for mu in weights
              if weyl_dimension(datum, lam) * weyl_dimension(datum, mu) <= 60]
-    for memo in (_build_irrep, homspaces._strings, homspaces._slice_pair):
-        memo.cache_clear()
+    homspaces._strings.cache_clear()
+    builds = _count_builds(monkeypatch)
     for lam, mu in pairs:
         hom_profile_slice(datum, free_object([(lam, 0)]),
                           free_object([(mu, 0)]))
     distinct = {w for pair in pairs for w in pair}
-    assert _build_irrep.cache_info().misses <= len(distinct) + 1
+    assert len(builds) <= len(distinct) + 1
 
 
-def test_slice_route_checks_every_cap_before_building(a2):
+def test_slice_route_checks_every_cap_before_building(a2, monkeypatch):
     """A summand over the cap raises even when no pair of the two objects
     shares a central character, and nothing is built."""
-    _build_irrep.cache_clear()
+    builds = _count_builds(monkeypatch)
     big = free_object([((9, 9), 0)])
     small = free_object([((1, 0), 0)])
     assert not same_center_component(a2, (9, 9), (1, 0))
@@ -97,7 +111,7 @@ def test_slice_route_checks_every_cap_before_building(a2):
             hom_profile_slice(a2, source, target, dim_cap=50)
     with pytest.raises(DomainError):
         hom_profile_slice(a2, free_object([((-1, 0), 0)]), small)
-    assert _build_irrep.cache_info().misses == 0
+    assert len(builds) == 0
 
 
 @pytest.mark.parametrize("preset", supported_presets())
@@ -162,7 +176,6 @@ def test_rank_one_slice_route_still_ranks(a1_adj, monkeypatch):
         calls.append(len(columns))
         return rank(columns)
     monkeypatch.setattr(homspaces, "int_columns_rank", counted)
-    homspaces._slice_pair.cache_clear()
     table = hom_profile_slice(a1_adj, structure_sheaf(a1_adj),
                               free_object([((1,), 0)]))
     assert table == {(0, 2): 1}
@@ -216,6 +229,30 @@ def test_orlov_diagonal_dimension(a2):
     o = structure_sheaf(a2)
     table = hom_profile_kostant(a2, o, v)
     assert orlov_degree_hom(a2, (0, 0), (1, 1), 0, -2) == table[(0, 2)]
+
+
+def test_orlov_check_fails_on_a_wrong_profile(a2, monkeypatch):
+    """Every slot the axioms claim (i = j, an odd or a negative gap i - j)
+    is compared with the Kostant profile, so a wrong profile fails."""
+    monkeypatch.setattr(homspaces, "hom_profile_kostant",
+                        lambda *args: {(0, 0): 99, (-2, 2): 7})
+    for lam, mu in (((1, 0), (1, 0)), ((1, 0), (0, 1)), ((1, 1), (0, 0))):
+        assert not orlov_axiom_check(a2, lam, mu, 3, 3), (lam, mu)
+    monkeypatch.setattr(homspaces, "hom_profile_kostant",
+                        lambda *args: {(-1, 1): 1, (2, -2): 1})
+    assert not orlov_axiom_check(a2, (1, 0), (1, 0), 1, 0)   # odd gap
+    assert not orlov_axiom_check(a2, (1, 0), (1, 0), 0, 2)   # negative gap
+
+
+@pytest.mark.parametrize("degree", [1.5, Fraction(3, 2), 0.9, "x", True,
+                                    None])
+def test_free_object_rejects_non_int_degrees(degree):
+    """A degree is never truncated or coerced: anything but an int (bools
+    excluded) is a domain error."""
+    assert free_object([((1, 0), 2), ((0, 0), -1)]) == \
+        (((0, 0), -1), ((1, 0), 2))
+    with pytest.raises(DomainError):
+        free_object([((1, 0), degree)])
 
 
 def test_profile_finite_support(b2):

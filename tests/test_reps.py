@@ -239,9 +239,8 @@ def test_weight_space_dims_match_freudenthal(g2):
 
 @pytest.mark.parametrize("preset,coords", [("B2-sc", (1, 1)), ("G2", (1, 0))])
 def test_one_elimination_per_weight_space(preset, coords, monkeypatch):
-    """An uncached build picks each weight space's Z-basis and every
-    candidate's coordinates over it with one reduction, and makes no
-    elimination."""
+    """A build picks each weight space's Z-basis and every candidate's
+    coordinates over it with one reduction, and makes no elimination."""
     import nilcone.reps
     datum = build_datum(preset)
     lam = datum.weight_from_pairing(coords)
@@ -256,7 +255,7 @@ def test_one_elimination_per_weight_space(preset, coords, monkeypatch):
         raise AssertionError("the build called _eliminate")
     monkeypatch.setattr(nilcone.reps, "_hermite", counted)
     monkeypatch.setattr(nilcone.reps, "_eliminate", forbidden)
-    rep = nilcone.reps._build_irrep.__wrapped__(datum, lam)
+    rep = nilcone.reps._build_irrep(datum, lam)
     assert len(calls) == len(rep.weight_spaces) - 1 > 1
 
 
@@ -495,10 +494,27 @@ def test_route_sides_bind_no_foreign_elimination():
     assert not bound, bound
 
 
+# Every functools.lru_cache in nilcone, by qualified name, with its maxsize.
+# A new memo is listed here and justified in CHANGES.md with its hit counts.
+_MEMOS = {
+    "nilcone.characters._character": None,
+    "nilcone.characters._dominant_mults": None,
+    "nilcone.characters._restrict": None,
+    "nilcone.homspaces._strings": None,
+    "nilcone.qanalog._q_analog": 64,
+    "nilcone.qanalog._q_kostant": None,
+    "nilcone.reps._layer_rows": 12,
+    "nilcone.reps.centralizer_and_exponents": None,
+    "nilcone.roots.build_datum": None,
+    "nilcone.sl2._convolve_recursive": None,
+}
+
+
 def test_every_memo_is_an_lru_cache(a2):
     """No module binds a mutable table apart from two constant ones, and a
     built module carries only the attributes MatrixRep.__init__ sets, so
-    every in-memory memo is a functools.lru_cache."""
+    every in-memory memo is a functools.lru_cache; those are exactly
+    _MEMOS, with the sizes listed there."""
     import sys
     import nilcone.cli
     constants = {("nilcone.roots", "_PRESETS"), ("nilcone.cli", "_SL2_KINDS")}
@@ -518,6 +534,16 @@ def test_every_memo_is_an_lru_cache(a2):
     fresh = MatrixRep(rep.datum, rep.highest_weight, rep.basis, rep.e_ops,
                       rep.f_ops)
     assert set(vars(rep)) == set(vars(fresh))
+    memos = {}
+    for name, module in list(sys.modules.items()):
+        if name == "nilcone" or name.startswith("nilcone."):
+            for value in vars(module).values():
+                owned = vars(value).values() if isinstance(value, type) else ()
+                for fn in (value, *owned):
+                    if hasattr(fn, "cache_parameters"):
+                        memos["%s.%s" % (fn.__module__, fn.__qualname__)] = \
+                            fn.cache_parameters()["maxsize"]
+    assert memos == _MEMOS
 
 
 def test_weyl_character_oracle_stays_independent():
