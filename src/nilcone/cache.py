@@ -4,6 +4,10 @@ Entries are content-addressed JSON files: the name is a hash of the request
 payload, the file stores the payload together with the value, and a stale or
 deleted file only costs a recomputation.  Loads validate the stored payload
 against the request, so hash collisions cannot poison results.
+
+Callers ask `enabled` first and build a request, or serialise a value, only
+when it is true: with the variable unset no request exists, and fetch and
+store are not called.
 """
 
 from __future__ import annotations
@@ -15,6 +19,11 @@ import os
 
 def _cache_dir():
     return os.environ.get("NILCONE_CACHE_DIR")
+
+
+def enabled():
+    """Whether NILCONE_CACHE_DIR names a cache directory."""
+    return bool(_cache_dir())
 
 
 def _path_for(payload):

@@ -166,16 +166,19 @@ def irreducible_character(datum, lam):
 
 @lru_cache(maxsize=None)
 def _character(datum, lam):
-    request = {"op": "irreducible_character", "format": 1,
-               "preset": datum.name, "weight": list(lam)}
     dim = weyl_dimension(datum, lam)
-    char = _stored_character(datum, cache.fetch(request), dim)
+    char = request = None
+    if cache.enabled():
+        request = {"op": "irreducible_character", "format": 1,
+                   "preset": datum.name, "weight": list(lam)}
+        char = _stored_character(datum, cache.fetch(request), dim)
     if char is None:
         char = {}
         for dom, m in _dominant_mults(datum, lam).items():
             for w in datum.weyl_orbit(dom):
                 char[w] = m
-        cache.store(request, sorted([list(w), m] for w, m in char.items()))
+        if request is not None:
+            cache.store(request, sorted([list(w), m] for w, m in char.items()))
     assert sum(char.values()) == dim
     return char
 

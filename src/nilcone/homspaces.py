@@ -12,8 +12,9 @@ independent routes that must agree:
   summarised once as a sum of strings of a principal sl2 through e
   (Kostant, 1959).  A map commuting with e is fixed by the images of the
   strings' lowest vectors, Hom over k[e] between strings of lengths a and
-  b has dimension min(a, b), and the centralizer elements of degree > 2
-  cut the equivariant maps out of those, one system per pair and degree.
+  b has dimension min(a, b), and the centralizer elements that are not
+  multiples of e cut the equivariant maps out of those, one system per
+  pair and degree.
 
 Morphisms are modelled by their values at the principal nilpotent: the
 regular orbit misses only a codimension-two locus, so functions (hence
@@ -129,13 +130,15 @@ def _strings(datum, lam):
     d_k <= 0 generate V_lam over k[e]: the string g_k, e g_k, ...,
     e^(a_k - 1) g_k has length a_k = 1 - d_k, and the strings form a basis.
     bottoms[k] is d_k.  images has one entry (den, rows) per centralizer
-    element x of degree > 2, in order: rows[k] lists (k', j, num) with
-    den * x g_k = sum num * e^j g_k', so a pair of modules never needs
-    either module again.
+    element x that is not a multiple of e, in order: rows[k] lists
+    (k', j, num) with den * x g_k = sum num * e^j g_k', so a pair of
+    modules never needs either module again.  A map commuting with e
+    commutes with its multiples, the degree-2 elements with equal
+    coefficients over the simple root vectors.  A Levi of type A1 x A1 has
+    two degree-2 elements, e_0 and e_2, neither a multiple of e.
     """
-    elements, _ = centralizer_and_exponents(datum)
-    assert elements[0].degree == 2 and len(set(elements[0].coeffs)) == 1, \
-        "the degree-2 centralizer element is not a multiple of e"
+    elements = [el for el in centralizer_and_exponents(datum)[0]
+                if el.degree > 2 or len(set(el.coeffs)) > 1]
     rep = _build_irrep(datum, lam)
     e = principal_e(rep)
     f = {}
@@ -166,12 +169,12 @@ def _strings(datum, lam):
         for j in range(len(vec)):
             basis.setdefault(bottoms[k] + 2 * j, []).append((k, j))
     targets = {}  # layer -> [(element index, k, x g_k)]
-    for t, el in enumerate(elements[1:]):
+    for t, el in enumerate(elements):
         x = el.realize(rep)
         for k, vec in enumerate(strings):
             targets.setdefault(bottoms[k] + el.degree, []).append(
                 (t, k, op_apply(x, vec[0])))
-    solved = [[None] * len(strings) for _ in elements[1:]]
+    solved = [[None] * len(strings) for _ in elements]
     for layer, found in targets.items():
         cells = basis.get(layer, [])
         columns = [strings[k][j] for k, j in cells]
@@ -202,8 +205,9 @@ def _slice_pair(datum, lam, mu):
     The unknowns are the coordinates of phi(g_k) over the target strings
     e^j h_l that e^(a_k) kills: j >= b_l - a_k, so min(a_k, b_l) of them
     for each pair of strings.  The equations are phi(x g_k) = x phi(g_k)
-    for each centralizer element x of degree > 2, in target string
-    coordinates times both denominators; rank one has none.  They are
+    for each centralizer element x that is not a multiple of e
+    (:func:`_strings`), in target string coordinates times both
+    denominators; rank one and a torus have none.  They are
     ranked as columns over the unknowns in decreasing order of their first
     unknown, so a column seldom meets a pivot at its first row and is
     mostly kept as it is, which keeps the integers small.

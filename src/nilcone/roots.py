@@ -314,7 +314,12 @@ class RootDatum:
         return tuple(out)
 
     def highest_root(self):
-        return self.positive_roots()[-1]
+        """The highest root; DomainError on a torus, which has no roots."""
+        roots = self.positive_roots()
+        if not roots:
+            raise DomainError("%s has no roots, so no highest root"
+                              % self.name)
+        return roots[-1]
 
     def inner_product_with_root_vector(self, weight, root_coords):
         """B(weight, v) for v = sum c_j alpha_j, via the symmetrizers."""

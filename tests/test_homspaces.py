@@ -1,15 +1,18 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nilcone.errors import DomainError, ResourceError
+from nilcone.qpoly import QPoly
 from nilcone.roots import build_datum, supported_presets
 from nilcone.characters import weyl_dimension, irreducible_character
+from nilcone.qanalog import hilbert_series_nilcone
 from nilcone.reps import (build_irrep, principal_e, op_add, op_commutator,
-                          MatrixRep)
+                          centralizer_and_exponents, poincare_gr, MatrixRep)
 import nilcone.homspaces as homspaces
 from nilcone.homspaces import (free_object, structure_sheaf,
                                hom_profile_kostant, hom_profile_slice,
@@ -328,6 +331,75 @@ def test_pullback_to_torus_concentrated_in_degree_zero(a2):
     assert set(k for (_, k) in l_profile) == {0}
     g_profile = hom_profile_kostant(a2, src, src)
     assert l_profile[(0, 0)] == sum(g_profile.values())
+
+
+@pytest.mark.parametrize("preset", supported_presets())
+def test_torus_has_no_centralizer_and_a_trivial_nilcone(preset):
+    """A torus has no roots: no centralizer elements or exponents, the
+    series 1 on both graded routes, and Hom(V_0, V_0) in degree 0 only;
+    asked for its highest root, it raises a DomainError."""
+    torus = build_datum(preset).levi(())
+    with pytest.raises(DomainError):
+        torus.highest_root()
+    assert centralizer_and_exponents(torus) == ([], [])
+    assert poincare_gr(torus, 6) == QPoly.one()
+    assert hilbert_series_nilcone(torus, 6) == QPoly.one()
+    zero = structure_sheaf(torus)
+    assert hom_profile_slice(torus, zero, zero) == {(0, 0): 1}
+    assert hom_profile_kostant(torus, zero, zero) == {(0, 0): 1}
+
+
+def test_slice_route_on_a_levi_of_type_a1_a1(a3):
+    """The A3-sc Levi (0, 2) has two degree-2 centralizer elements, e_0
+    and e_2, neither a multiple of e; the slice route imposes both."""
+    levi = a3.levi((0, 2))
+    elements, exponents = centralizer_and_exponents(levi)
+    assert exponents == [1, 1]
+    assert sorted(el.coeffs for el in elements) == [[0, 1], [1, 0]]
+    weights = [(0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1), (2, 0, 1),
+               (0, 1, 0), (2, 1, 2)]
+    for lam in weights:
+        for mu in weights:
+            src = free_object([(lam, 0)])
+            tgt = free_object([(mu, 1)])
+            assert hom_profile_slice(levi, src, tgt) == \
+                hom_profile_kostant(levi, src, tgt), (lam, mu)
+    v = free_object([((1, 0, 1), 0)])
+    assert hom_profile_slice(levi, v, v) == {(0, 0): 1, (0, 2): 2, (0, 4): 1}
+
+
+def test_levi_pullbacks_agree_on_both_routes():
+    """On every proper Levi of every preset, the torus included, the slice
+    route equals the Kostant route on the pullbacks of the weights of
+    dimension <= 20.  Both routes sum a table over the summand pairs, so
+    each pair of summands met in those pullbacks is compared once, and the
+    pulled-back objects themselves are compared up to dimension 8."""
+    for preset in supported_presets():
+        datum = build_datum(preset)
+        weights = dominant_weights_with_dim_cap(datum, 20)
+        subsets = [s for r in range(datum.rank)
+                   for s in combinations(range(datum.rank), r)]
+        for subset in subsets:
+            levi = datum.levi(subset)
+            pulled = {lam: levi_pullback(datum, subset,
+                                         free_object([(lam, 0)]))
+                      for lam in weights}
+            summands = sorted({nu for obj in pulled.values()
+                               for nu, _ in obj})
+            for nu in summands:
+                for kappa in summands:
+                    src = free_object([(nu, 0)])
+                    tgt = free_object([(kappa, 0)])
+                    assert hom_profile_slice(levi, src, tgt) == \
+                        hom_profile_kostant(levi, src, tgt), \
+                        (preset, subset, nu, kappa)
+            small = [obj for lam, obj in pulled.items()
+                     if weyl_dimension(datum, lam) <= 8]
+            for src in small:
+                for tgt in small:
+                    assert hom_profile_slice(levi, src, tgt) == \
+                        hom_profile_kostant(levi, src, tgt), \
+                        (preset, subset, src, tgt)
 
 
 def test_profile_json_shape(a1_adj):

@@ -7,7 +7,7 @@ from nilcone.errors import DomainError
 from nilcone.qpoly import QPoly
 from nilcone.roots import build_datum, supported_presets
 from nilcone.characters import weight_multiplicity, irreducible_character
-from nilcone import qanalog, reps
+from nilcone import cache, characters, qanalog, reps
 from nilcone.qanalog import (q_kostant, lusztig_q_analog, p_bk_polynomial,
                              graded_mult_in_nilcone, hilbert_series_nilcone,
                              hilbert_series_complete_intersection,
@@ -110,6 +110,48 @@ def test_q_one_specialization_property(case, pick):
     assert weight_multiplicity(datum, lam, mu) > 0
     assert weight_multiplicity(datum, lam, off_support) == 0
     assert weight_multiplicity(datum, lam, off_lattice) == 0
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=_q_one_cases(), drop=st.lists(st.integers(0, 4), min_size=3,
+                                          max_size=3),
+       pick=st.integers(0, 10 ** 6))
+def test_lusztig_q_analog_is_the_full_weyl_sum(case, drop, pick):
+    """Kostant's alternating sum over every Weyl element, no term skipped:
+    sign(w) q_kostant(w(lam) - mu + w(rho) - rho), for mu a Weyl image of
+    lam less a nonnegative simple-root combination."""
+    preset, pairing = case
+    datum = build_datum(preset)
+    try:
+        lam = datum.weight_from_pairing(pairing)
+    except DomainError:
+        return
+    below = tuple(a - sum(c * root[k] for c, root in
+                          zip(drop, datum.simple_roots))
+                  for k, a in enumerate(lam))
+    weyl = datum.weyl_elements()
+    mu = weyl[pick % len(weyl)].apply(below)
+    expected = QPoly.zero()
+    for w in weyl:
+        term = q_kostant(datum, tuple(a - b + s for a, b, s in
+                                      zip(w.apply(lam), mu, w.rho_shift)))
+        expected = expected + (term if w.sign > 0 else -term)
+    assert lusztig_q_analog(datum, lam, mu) == expected, (lam, mu)
+
+
+def test_no_cache_request_without_a_cache_dir(monkeypatch, a2):
+    """With NILCONE_CACHE_DIR unset, q-analogs and characters are computed
+    without asking the disk cache."""
+    def refuse(*args):
+        raise AssertionError("the disk cache was asked")
+    monkeypatch.delenv("NILCONE_CACHE_DIR", raising=False)
+    monkeypatch.setattr(cache, "fetch", refuse)
+    monkeypatch.setattr(cache, "store", refuse)
+    _clear_q_memos()
+    characters._character.cache_clear()
+    assert lusztig_q_analog(a2, (1, 1), (0, 0)) == QPoly({1: 1, 2: 1})
+    assert lusztig_q_analog(a2, (1, 1), (1, 1)) == QPoly.one()
+    assert sum(irreducible_character(a2, (2, 1)).values()) == 15
 
 
 def _string_sum_q_kostant(datum, coords, idx, memo):

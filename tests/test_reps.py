@@ -15,9 +15,9 @@ from nilcone.reps import (build_irrep, principal_e, centralizer_and_exponents,
                           bk_filtration, bk_profile_all_weights,
                           verify_theorem_filtrations, poincare_gr,
                           op_compose, op_apply, op_commutator, op_equal,
-                          fraction_solve, int_columns_rank, _eliminate,
-                          _layer_rows,
-                          MatrixRep)
+                          op_transpose, fraction_solve, int_columns_rank,
+                          _eliminate, _layer_rows, MatrixRep)
+from nilcone import reps
 from nilcone.qanalog import p_bk_polynomial
 from conftest import dominant_weights_with_dim_cap
 
@@ -619,11 +619,22 @@ def _reference_filtration(rep, lam, coefficients=None):
     return dims
 
 
+# one module of dimension 28-64 per rank-2 preset, by pairing coordinates,
+# whose principal-degree layers hold several weight spaces each
+_WIDE_LAYER_MODULES = {"A2-sc": (3, 2), "A2-adj": (4, 1), "B2-sc": (2, 1),
+                       "G2": (1, 1)}
+
+
 @pytest.mark.parametrize("preset", ["A1-sc", "A1-adj", "A2-sc", "A2-adj",
                                     "B2-sc", "G2", "A3-sc"])
 def test_bk_filtration_matches_naive_walk(preset):
     datum = build_datum(preset)
-    for nu in dominant_weights_with_dim_cap(datum, 27):
+    modules = dominant_weights_with_dim_cap(datum, 27)
+    if preset in _WIDE_LAYER_MODULES:
+        wide = datum.weight_from_pairing(_WIDE_LAYER_MODULES[preset])
+        assert 28 <= weyl_dimension(datum, wide) <= 64
+        modules.append(wide)
+    for nu in modules:
         rep = build_irrep(datum, nu)
         for coefficients in (None, [2, -3, 5][:datum.rank]):
             for lam in rep.weight_spaces:
@@ -632,6 +643,34 @@ def test_bk_filtration_matches_naive_walk(preset):
                     rep, lam, coefficients), (preset, nu, lam, coefficients)
                 assert list(profile.dims) == sorted(profile.dims)
                 assert profile.total == len(rep.weight_spaces[lam])
+
+
+@pytest.mark.parametrize("preset,pairing", [
+    ("A2-sc", (2, 1)), ("B2-sc", (2, 1)), ("G2", (1, 1)), ("A3-sc", (1, 1, 1))])
+def test_layer_rows_complete_only_the_unled_indices(preset, pairing,
+                                                     monkeypatch):
+    """Layer d hands _eliminate the rows of layer d + 2 after e, less those
+    e kills, plus one coordinate row of e per index of layer d + 2 that
+    leads no row kept there."""
+    datum = build_datum(preset)
+    rep = build_irrep(datum, datum.weight_from_pairing(pairing))
+    handed = []
+
+    def counted(columns, nrows=None):
+        handed.append(len(columns))
+        return _eliminate(columns, nrows)
+    monkeypatch.setattr(reps, "_eliminate", counted)
+    for coefficients in (None, (2, -3, 5)[:datum.rank]):
+        handed.clear()
+        rows = _layer_rows.__wrapped__(rep, coefficients)
+        e_rows = op_transpose(principal_e(rep, coefficients))
+        layers = sorted(rep.layers, reverse=True)
+        assert len(handed) == len(layers)
+        for d, count in zip(layers, handed):
+            above = rows.get(d + 2, [])
+            pushed = [row for _, row in above if op_apply(e_rows, row)]
+            unled = len(rep.layers.get(d + 2, ())) - len(above)
+            assert count == len(pushed) + unled, (d, coefficients)
 
 
 def test_layer_rows_are_reduced_by_label(a2):
