@@ -15,8 +15,7 @@ from .reps import (build_irrep, principal_e, centralizer_and_exponents,
                    MatrixRep)
 from .homspaces import (free_object, structure_sheaf, hom_profile_kostant,
                         hom_profile_slice, adjunction_check,
-                        orlov_axiom_check, mixed_shift, levi_pullback,
-                        HomElement, compose, identity_hom)
+                        orlov_axiom_check, mixed_shift, levi_pullback)
 from . import sl2
 
 __all__ = [
@@ -30,6 +29,5 @@ __all__ = [
     "bk_filtration", "verify_theorem_filtrations", "poincare_gr", "MatrixRep",
     "free_object", "structure_sheaf", "hom_profile_kostant",
     "hom_profile_slice", "adjunction_check", "orlov_axiom_check",
-    "mixed_shift", "levi_pullback", "HomElement", "compose", "identity_hom",
-    "sl2",
+    "mixed_shift", "levi_pullback", "sl2",
 ]

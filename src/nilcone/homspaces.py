@@ -16,9 +16,9 @@ independent routes that must agree:
   multiples of e cut the equivariant maps out of those, one system per
   pair and degree.
 
-Morphisms are modelled by their values at the principal nilpotent: the
-regular orbit misses only a codimension-two locus, so functions (hence
-morphism matrices) are determined by that value.  Cohomological degrees are
+The slice route may work at e alone: the regular orbit misses only a
+codimension-two locus of the cone, so functions (hence maps between free
+objects) are determined by their values at e.  Cohomological degrees are
 exposed in geometric (even) units; the half-degree q-exponents of module
 qanalog are doubled at this boundary only.
 """
@@ -33,9 +33,8 @@ from .roots import _vec_sub
 from .characters import (tensor_decompose, dual_weight, restrict_to_levi,
                          _require_dominant)
 from .qanalog import graded_mult_in_nilcone
-from .reps import (build_irrep, check_dim_cap, centralizer_and_exponents,
-                   principal_e, op_add, op_apply, op_compose, op_equal,
-                   _op_norm, _build_irrep, _eliminate, _strip_column,
+from .reps import (check_dim_cap, centralizer_and_exponents, principal_e,
+                   op_add, op_apply, _build_irrep, _eliminate, _strip_column,
                    int_columns_rank, DEFAULT_DIM_CAP)
 
 
@@ -43,10 +42,16 @@ def free_object(summands):
     """Normalize a multiset of (dominant weight, internal degree) pairs;
     every degree must be an int (not a bool)."""
     out = []
-    for w, i in summands:
+    for summand in summands:
+        try:
+            w, i = summand
+            w = tuple(w)
+        except (TypeError, ValueError):
+            raise DomainError("a summand must be a (weight, degree) pair, "
+                              "got %r" % (summand,)) from None
         if not isinstance(i, int) or isinstance(i, bool):
             raise DomainError("internal degree must be an int, got %r" % (i,))
-        out.append((tuple(w), i))
+        out.append((w, i))
     return tuple(sorted(out))
 
 
@@ -56,9 +61,8 @@ def structure_sheaf(datum, degree=0):
 
 
 def mixed_shift(obj, n):
-    """Internal shift by n, recording the paired cohomological shift [n]."""
-    shifted = free_object([(w, i + n) for w, i in obj])
-    return shifted, {"internal": n, "cohomological": n}
+    """Internal shift by n, paired with the cohomological shift [n]."""
+    return free_object([(w, i + n) for w, i in obj])
 
 
 def levi_pullback(datum, subset, obj):
@@ -319,87 +323,3 @@ def orlov_axiom_check(datum, lam, mu, i, j):
                                 free_object([(mu, j)]))
     return orlov_degree_hom(datum, lam, mu, i, j) == table.get((-gap, gap), 0)
 
-
-# -- concrete morphisms ----------------------------------------------------------
-
-class HomElement:
-    """A morphism by its value at the principal nilpotent: blocks between
-    the summand fibers, indexed (source slot, target slot)."""
-
-    __slots__ = ("datum", "source", "target", "blocks")
-
-    def __init__(self, datum, source, target, blocks):
-        self.datum = datum
-        self.source = source
-        self.target = target
-        self.blocks = {}
-        for k, mat in blocks.items():
-            mat = _op_norm(mat)
-            if mat:
-                self.blocks[k] = mat
-
-    def __eq__(self, other):
-        return (self.source == other.source and self.target == other.target
-                and self.blocks == other.blocks)
-
-    def degree_of(self):
-        """(internal shift, geometric degree) if homogeneous, else None."""
-        degs = set()
-        for (s, t), mat in self.blocks.items():
-            lam, i = self.source[s]
-            mu, j = self.target[t]
-            rep_s = build_irrep(self.datum, lam)
-            rep_t = build_irrep(self.datum, mu)
-            for c, col in mat.items():
-                for r, v in col.items():
-                    if v:
-                        degs.add((j - i,
-                                  rep_t.principal_degree(r) - rep_s.principal_degree(c)))
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
-
-def identity_hom(datum, obj):
-    blocks = {}
-    for s, (lam, _i) in enumerate(obj):
-        rep = build_irrep(datum, lam)
-        blocks[(s, s)] = {a: {a: 1} for a in range(rep.dim)}
-    return HomElement(datum, obj, obj, blocks)
-
-
-def compose(f, g):
-    """g after f; source(g) must be target(f).  Gradings add."""
-    if f.target != g.source:
-        raise DomainError("composition shape mismatch")
-    blocks = {}
-    for (s, m), fm in f.blocks.items():
-        for (m2, t), gm in g.blocks.items():
-            if m2 != m:
-                continue
-            prod = op_compose(gm, fm)
-            if not prod:
-                continue
-            key = (s, t)
-            blocks[key] = op_add(blocks.get(key, {}), prod) if key in blocks else prod
-    return HomElement(f.datum, f.source, g.target, blocks)
-
-
-def hom_element_is_equivariant(f):
-    """Every block commutes with the centralizer and matches components."""
-    elements, _ = centralizer_and_exponents(f.datum)
-    for (s, t), mat in f.blocks.items():
-        lam, _ = f.source[s]
-        mu, _ = f.target[t]
-        if not same_center_component(f.datum, lam, mu):
-            return False
-        rep_s = build_irrep(f.datum, lam)
-        rep_t = build_irrep(f.datum, mu)
-        for el in elements:
-            a = el.realize(rep_s)
-            b = el.realize(rep_t)
-            lhs = op_compose(b, mat)
-            rhs = op_compose(mat, a)
-            if not op_equal(lhs, rhs):
-                return False
-    return True

@@ -277,9 +277,6 @@ class MatrixRep:
                 out[idx] = {idx: c}
         return out
 
-    def principal_degree(self, index):
-        return self.datum.pair_2rho_check(self.basis[index][0])
-
     def validate(self):
         d = self.datum
         for i in range(d.rank):

@@ -371,9 +371,6 @@ class RootDatum:
         self._weyl = tuple(ordered)
         return self._weyl
 
-    def weyl_order(self):
-        return len(self.weyl_elements())
-
     def longest_element(self):
         return self.weyl_elements()[-1]
 
@@ -418,11 +415,18 @@ class RootDatum:
     # -- Levi subdata ------------------------------------------------------
 
     def levi(self, subset):
-        """Levi sub-datum spanned by the given simple-root indices."""
-        subset = tuple(sorted(set(subset)))
-        for i in subset:
-            if not 0 <= i < self.rank:
+        """Levi sub-datum spanned by the given simple-root indices: an
+        iterable of ints (not bools) in range(rank)."""
+        try:
+            indices = tuple(subset)
+        except TypeError:
+            raise DomainError("a Levi subset must be an iterable of simple "
+                              "root indices, got %r" % (subset,)) from None
+        for i in indices:
+            if (not isinstance(i, int) or isinstance(i, bool)
+                    or not 0 <= i < self.rank):
                 raise DomainError("invalid simple root index %r" % (i,))
+        subset = tuple(sorted(set(indices)))
         if subset in self._levi_cache:
             return self._levi_cache[subset]
         cartan = [[self.cartan[i][j] for j in subset] for i in subset]

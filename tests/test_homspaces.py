@@ -19,8 +19,6 @@ from nilcone.homspaces import (free_object, structure_sheaf,
                                collapse_profile, adjunction_check,
                                orlov_axiom_check, orlov_degree_hom,
                                mixed_shift, levi_pullback, profile_to_json,
-                               HomElement, compose, identity_hom,
-                               hom_element_is_equivariant,
                                same_center_component)
 
 from conftest import dominant_weights_with_dim_cap
@@ -132,8 +130,7 @@ def test_f_completes_the_principal_sl2(preset):
     f = {}
     for i, ci in enumerate(c):
         f = op_add(f, rep.f_ops[i], ci)
-    h = {b: {b: rep.principal_degree(b)} for b in range(rep.dim)
-         if rep.principal_degree(b)}
+    h = {b: {b: d} for d, idxs in rep.layers.items() if d for b in idxs}
     assert op_commutator(principal_e(rep), f) == h
 
 
@@ -258,6 +255,14 @@ def test_free_object_rejects_non_int_degrees(degree):
         free_object([((1, 0), degree)])
 
 
+@pytest.mark.parametrize("summand", [(1, 0), ((1, 0), 0, 0), ((1, 0),), 5,
+                                     None])
+def test_free_object_rejects_malformed_summands(summand):
+    """A summand that is not a (weight, degree) pair is a domain error."""
+    with pytest.raises(DomainError):
+        free_object([((0, 0), 0), summand])
+
+
 def test_profile_finite_support(b2):
     v = free_object([((1, 1), 0)])
     table = hom_profile_kostant(b2, v, v)
@@ -267,11 +272,9 @@ def test_profile_finite_support(b2):
 
 def test_mixed_shift_bookkeeping(a2):
     v = free_object([((1, 0), 0), ((1, 0), 2)])
-    shifted, record = mixed_shift(v, 3)
-    assert shifted == free_object([((1, 0), 3), ((1, 0), 5)])
-    assert record == {"internal": 3, "cohomological": 3}
-    assert mixed_shift(v, 0)[0] == v
-    assert mixed_shift(mixed_shift(v, 1)[0], -1)[0] == v
+    assert mixed_shift(v, 3) == free_object([((1, 0), 3), ((1, 0), 5)])
+    assert mixed_shift(v, 0) == v
+    assert mixed_shift(mixed_shift(v, 1), -1) == v
 
 
 def test_profile_shift_invariance(a2):
@@ -279,8 +282,8 @@ def test_profile_shift_invariance(a2):
     tgt = free_object([((1, 1), 0)])
     base = hom_profile_kostant(a2, src, tgt)
     for n in (-2, 1, 5):
-        assert hom_profile_kostant(a2, mixed_shift(src, n)[0],
-                                   mixed_shift(tgt, n)[0]) == base
+        assert hom_profile_kostant(a2, mixed_shift(src, n),
+                                   mixed_shift(tgt, n)) == base
 
 
 def test_levi_pullback_examples(a2):
@@ -296,8 +299,8 @@ def test_levi_pullback_examples(a2):
 
 def test_levi_pullback_commutes_with_shift(a2):
     v = free_object([((1, 1), 0), ((1, 0), -1)])
-    lhs = levi_pullback(a2, (1,), mixed_shift(v, 4)[0])
-    rhs = mixed_shift(levi_pullback(a2, (1,), v), 4)[0]
+    lhs = levi_pullback(a2, (1,), mixed_shift(v, 4))
+    rhs = mixed_shift(levi_pullback(a2, (1,), v), 4)
     assert lhs == rhs
 
 
@@ -410,54 +413,3 @@ def test_profile_json_shape(a1_adj):
                                      key=lambda e: (e["internal"], e["cohomological"]))
     assert all(set(e) == {"internal", "cohomological", "dim"}
                for e in blob["entries"])
-
-
-# -- concrete morphisms ---------------------------------------------------------
-
-def test_identity_and_compose(a1_adj):
-    v = free_object([((1,), 0)])
-    ident = identity_hom(a1_adj, v)
-    rep = build_irrep(a1_adj, (1,))
-    e_hom = HomElement(a1_adj, v, v, {(0, 0): principal_e(rep)})
-    assert compose(ident, e_hom) == e_hom
-    assert compose(e_hom, ident) == e_hom
-    assert hom_element_is_equivariant(e_hom)
-
-
-def test_compose_degree_additivity(a1_adj):
-    v = free_object([((1,), 0)])
-    rep = build_irrep(a1_adj, (1,))
-    e_hom = HomElement(a1_adj, v, v, {(0, 0): principal_e(rep)})
-    square = compose(e_hom, e_hom)
-    assert e_hom.degree_of() == (0, 2)
-    assert square.degree_of() == (0, 4)
-    # the degree-4 slot of the profile is exactly one-dimensional
-    assert hom_profile_kostant(a1_adj, v, v)[(0, 4)] == 1
-    assert hom_element_is_equivariant(square)
-
-
-def test_compose_associativity(a1_adj):
-    v = free_object([((1,), 0)])
-    rep = build_irrep(a1_adj, (1,))
-    e_hom = HomElement(a1_adj, v, v, {(0, 0): principal_e(rep)})
-    assert compose(compose(e_hom, e_hom), e_hom) == \
-        compose(e_hom, compose(e_hom, e_hom))
-
-
-def test_skyscraper_to_adjoint_morphism(a1_adj):
-    # the unit sends 1 to the principal nilpotent vector inside the adjoint
-    rep = build_irrep(a1_adj, (1,))
-    (e_index,) = rep.weight_spaces[(1,)]
-    o = structure_sheaf(a1_adj)
-    v = free_object([((1,), 0)])
-    f = HomElement(a1_adj, o, v, {(0, 0): {0: {e_index: 1}}})
-    assert hom_element_is_equivariant(f)
-    assert f.degree_of() == (0, 2)
-
-
-def test_compose_shape_mismatch(a1_adj):
-    o = structure_sheaf(a1_adj)
-    v = free_object([((1,), 0)])
-    f = HomElement(a1_adj, o, v, {})
-    with pytest.raises(DomainError):
-        compose(f, f)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from inspect import CO_NEWLOCALS
 from itertools import combinations
 from math import gcd, lcm
 
@@ -564,19 +565,32 @@ def test_weyl_character_oracle_stays_independent():
 
 
 def _code_names(code):
-    """{qualified name: names read} for code and every code object in it."""
+    """{qualified name: names read} for code and every code object in it.
+
+    Each dotted name is built while walking the nested code objects, as
+    co_qualname spells it (which Python 3.10 lacks): the children of a
+    function or lambda sit under "<name>.<locals>.", those of a class body
+    or a comprehension under "<name>.", and the module's at the top level."""
     out = {}
-    codes = [code]
+    codes = [(code.co_name, code)]
     while codes:
-        code = codes.pop()
-        out[code.co_qualname] = set(code.co_names)
-        codes.extend(c for c in code.co_consts if hasattr(c, "co_names"))
+        name, code = codes.pop()
+        out[name] = set(code.co_names)
+        if code.co_name == "<module>":
+            prefix = ""
+        elif code.co_flags & CO_NEWLOCALS and code.co_name not in (
+                "<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>"):
+            prefix = name + ".<locals>."
+        else:
+            prefix = name + "."
+        codes.extend((prefix + c.co_name, c) for c in code.co_consts
+                     if hasattr(c, "co_names"))
     return out
 
 
 def test_integer_models_stay_integer():
-    """Module operators, Hom blocks and the Weyl oracle are ints end to
-    end: only the documented "p/q" export reads a denominator in reps,
+    """Module operators, the slice route and the Weyl oracle are ints end
+    to end: only the documented "p/q" export reads a denominator in reps,
     homspaces has no Fraction, and the oracle builds none."""
     import nilcone.characters
     import nilcone.homspaces

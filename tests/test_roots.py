@@ -25,7 +25,7 @@ def test_preset_shape(preset):
     datum = build_datum(preset)
     assert datum.rank == rank
     assert len(datum.positive_roots()) == n_pos
-    assert datum.weyl_order() == w_order
+    assert len(datum.weyl_elements()) == w_order
 
 
 def test_unknown_preset_names_supported():
@@ -119,9 +119,15 @@ def test_weyl_matrices_permute_roots(g2):
         assert {w.apply(r) for r in roots} == roots
 
 
-def test_levi_subset_validation(a2):
-    with pytest.raises(DomainError):
-        a2.levi((5,))
+def test_levi_subset_validation(a2, b2):
+    """Only an iterable of int indices in range is a Levi subset; a bool
+    never stands in for its int, so no Levi is named after a bool."""
+    for subset in [(5,), (-1,), ("a",), (1.0,), (True,), (1, True), None, 0,
+                   ([0],)]:
+        for datum in (a2, b2):
+            with pytest.raises(DomainError):
+                datum.levi(subset)
+    assert b2.levi([1]).name == "B2-sc|levi[1]"
 
 
 def test_height_function(a2, b2):
