@@ -7,13 +7,11 @@ against the request, so hash collisions cannot poison results.
 
 Callers ask `enabled` first and build a request, or serialise a value, only
 when it is true: with the variable unset no request exists, and fetch and
-store are not called.
+store are not called, and neither hashlib nor json is imported.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 
 
@@ -27,6 +25,7 @@ def enabled():
 
 
 def _path_for(payload):
+    import hashlib
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     return os.path.join(_cache_dir(), digest + ".json")
 
@@ -35,6 +34,7 @@ def fetch(request):
     """Return the cached value for a JSON-able request, or None."""
     if not _cache_dir():
         return None
+    import json
     payload = json.dumps(request, sort_keys=True)
     path = _path_for(payload)
     try:
@@ -52,6 +52,7 @@ def store(request, value):
     directory = _cache_dir()
     if not directory:
         return
+    import json
     payload = json.dumps(request, sort_keys=True)
     try:
         os.makedirs(directory, exist_ok=True)

@@ -5,7 +5,8 @@ summands.  Hom dimensions between two free objects are computed by two
 independent routes that must agree:
 
 * the Kostant route: tensor decomposition plus graded multiplicities of the
-  coordinate ring (module qanalog);
+  coordinate ring (module qanalog), one result per pair of summand weights,
+  the last 2048 of them kept in memory behind the weight check;
 * the slice route: honest linear algebra at the principal nilpotent e,
   cutting out maps that commute with its centralizer and with the center,
   graded by the cocharacter that contracts onto it.  Each module is
@@ -87,18 +88,30 @@ def hom_profile_kostant(datum, source, target):
 
     For each summand pair the geometric-degree-2k dimension is the number of
     copies of each V_nu in V_mu tensor V_lam^* weighted by the q^k piece of
-    the graded multiplicity of V_nu in the coordinate ring.
+    the graded multiplicity of V_nu in the coordinate ring
+    (:func:`_kostant_pair`).  Every summand weight is checked before any
+    pair is looked up.
     """
+    for lam, _ in [*source, *target]:
+        _require_dominant(datum, lam)
     table = {}
     for lam, i in source:
-        dual = dual_weight(datum, lam)
         for mu, j in target:
-            mults = tensor_decompose(datum, mu, dual)
-            for nu, m in mults.items():
-                for exp, c in graded_mult_in_nilcone(datum, nu).coeffs.items():
-                    key = (j - i, 2 * exp)
-                    table[key] = table.get(key, 0) + m * c
+            for degree, dim in _kostant_pair(datum, tuple(lam), tuple(mu)):
+                key = (j - i, degree)
+                table[key] = table.get(key, 0) + dim
     return {k: v for k, v in table.items() if v}
+
+
+@lru_cache(maxsize=2048)
+def _kostant_pair(datum, lam, mu):
+    """((geometric degree, dim), ...) of the equivariant maps V_lam -> V_mu
+    by the Kostant route, for weights already checked dominant."""
+    out = {}
+    for nu, m in tensor_decompose(datum, mu, dual_weight(datum, lam)).items():
+        for exp, c in graded_mult_in_nilcone(datum, nu).coeffs.items():
+            out[2 * exp] = out.get(2 * exp, 0) + m * c
+    return tuple(sorted(out.items()))
 
 
 def hom_profile_slice(datum, source, target, dim_cap=DEFAULT_DIM_CAP):
@@ -280,7 +293,16 @@ def profile_to_json(source, target, table):
 # -- checks --------------------------------------------------------------------
 
 def adjunction_check(datum, v1, v2):
-    """Tensoring is self-adjoint up to duals, at the level of profiles."""
+    """Tensoring is self-adjoint up to duals, at the level of profiles.
+
+    The left side, Hom(V_v1, V_v2), decomposes V_v2 tensor V_v1^*
+    (``tensor_decompose(v2, v1^*)``, through :func:`_kostant_pair`); the
+    right side expands V_v1^* tensor V_v2 (``tensor_decompose(v1^*, v2)``)
+    and maps the structure sheaf into it.  So the check compares the two
+    argument orders of the Brauer-Klimyk sum, and it must keep both: with
+    the arguments put in one order, it would compare a computation with
+    itself.
+    """
     _require_dominant(datum, v1)
     _require_dominant(datum, v2)
     lhs = hom_profile_kostant(datum, free_object([(v1, 0)]),

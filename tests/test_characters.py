@@ -203,17 +203,20 @@ def test_memo_tables_are_pure_caches(a2):
     import sys
     import nilcone.characters as ch
     from nilcone import sl2
-    from nilcone.homspaces import free_object, hom_profile_slice
+    from nilcone.homspaces import (free_object, hom_profile_kostant,
+                                   hom_profile_slice)
     from nilcone.qanalog import lusztig_q_analog
     from nilcone.reps import build_irrep, centralizer_and_exponents
 
+    v = free_object([((1, 1), 0), ((2, 2), 1)])
+
     def other_results():
         rep = build_irrep(a2, (2, 1))
-        v = free_object([((1, 1), 0), ((2, 2), 1)])
         return (lusztig_q_analog(a2, (2, 2), (1, 1)),
                 (rep.basis, rep.e_ops, rep.f_ops),
                 centralizer_and_exponents(a2)[1],
                 hom_profile_slice(a2, v, v),
+                hom_profile_kostant(a2, v, v),
                 sl2.convolve_ic_recursive(-10, 4))
 
     before_char = irreducible_character(a2, (2, 1))
@@ -235,7 +238,8 @@ def test_memo_tables_are_pure_caches(a2):
     # the public results are copies: mutating one leaves the memo intact
     for call, args in ((ch.irreducible_character, (a2, (2, 1))),
                        (ch.restrict_to_levi, (a2, (0,), (2, 1))),
-                       (sl2.convolve_ic_recursive, (-10, 4))):
+                       (sl2.convolve_ic_recursive, (-10, 4)),
+                       (hom_profile_kostant, (a2, v, v))):
         first = call(*args)
         expected = dict(first)
         first.clear()

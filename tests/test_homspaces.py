@@ -71,6 +71,22 @@ def test_dimension_cap_holds_for_cached_slice_pairs(a2):
         hom_profile_slice(a2, v, v, dim_cap=10)
 
 
+def test_kostant_pair_memo_sits_behind_validation(a2):
+    """A summand weight spelled with a float or a Fraction is equal and
+    hash-equal to its int spelling, so the pair memo would answer it; the
+    Kostant route checks every weight first, as the slice route does,
+    also when the other object is empty."""
+    v = free_object([((1, 0), 0)])
+    assert hom_profile_kostant(a2, v, v) == {(0, 0): 1, (0, 2): 1, (0, 4): 1}
+    for bad in ((1.0, 0), (Fraction(1), 0)):
+        odd = [(bad, 0)]
+        for source, target in ((odd, v), (v, odd), ((), odd), (odd, ())):
+            with pytest.raises(DomainError):
+                hom_profile_kostant(a2, source, target)
+            with pytest.raises(DomainError):
+                hom_profile_slice(a2, source, target)
+
+
 def _count_builds(monkeypatch):
     """The highest weight of every module built from now on: each build
     ends with one MatrixRep.validate."""
@@ -201,6 +217,30 @@ def test_adjunction_examples(a1_adj, a2):
     assert adjunction_check(a2, (0, 0), (2, 1))
     assert adjunction_check(a2, (1, 0), (0, 1))
     assert adjunction_check(a2, (1, 1), (1, 0))
+
+
+def test_adjunction_check_compares_both_argument_orders(a2, monkeypatch):
+    """The left side decomposes V_mu tensor V_lam^*, the right side
+    V_lam^* tensor V_mu, so a tensor_decompose that is wrong in one
+    argument order only (here: whenever its first factor is the smaller)
+    fails the check.  The pair memo is cleared on both sides of the test,
+    so no entry computed under the wrong decomposition outlives it."""
+    lam, mu = (1, 1), (2, 2)
+    assert weyl_dimension(a2, lam) < weyl_dimension(a2, mu)
+    assert adjunction_check(a2, lam, mu)
+    right = homspaces.tensor_decompose
+
+    def one_order_wrong(datum, first, second):
+        out = dict(right(datum, first, second))
+        if weyl_dimension(datum, first) < weyl_dimension(datum, second):
+            out[max(out)] += 1
+        return out
+    homspaces._kostant_pair.cache_clear()
+    try:
+        monkeypatch.setattr(homspaces, "tensor_decompose", one_order_wrong)
+        assert not adjunction_check(a2, lam, mu)
+    finally:
+        homspaces._kostant_pair.cache_clear()
 
 
 ORLOV_PRESETS = ["A1-sc", "A1-adj", "A2-sc", "A2-adj", "A3-sc", "B2-sc", "G2"]
@@ -376,7 +416,7 @@ def test_levi_pullbacks_agree_on_both_routes():
     route equals the Kostant route on the pullbacks of the weights of
     dimension <= 20.  Both routes sum a table over the summand pairs, so
     each pair of summands met in those pullbacks is compared once, and the
-    pulled-back objects themselves are compared up to dimension 8."""
+    pulled-back objects themselves are compared too."""
     for preset in supported_presets():
         datum = build_datum(preset)
         weights = dominant_weights_with_dim_cap(datum, 20)
@@ -396,10 +436,8 @@ def test_levi_pullbacks_agree_on_both_routes():
                     assert hom_profile_slice(levi, src, tgt) == \
                         hom_profile_kostant(levi, src, tgt), \
                         (preset, subset, nu, kappa)
-            small = [obj for lam, obj in pulled.items()
-                     if weyl_dimension(datum, lam) <= 8]
-            for src in small:
-                for tgt in small:
+            for src in pulled.values():
+                for tgt in pulled.values():
                     assert hom_profile_slice(levi, src, tgt) == \
                         hom_profile_kostant(levi, src, tgt), \
                         (preset, subset, src, tgt)

@@ -501,6 +501,7 @@ _MEMOS = {
     "nilcone.characters._character": None,
     "nilcone.characters._dominant_mults": None,
     "nilcone.characters._restrict": None,
+    "nilcone.homspaces._kostant_pair": 2048,
     "nilcone.homspaces._strings": None,
     "nilcone.qanalog._q_analog": 64,
     "nilcone.qanalog._q_kostant": None,
