@@ -46,14 +46,12 @@ def _parse_subset(text):
 
 
 def _dim_cap(text):
+    """--dim-cap, by the library's rule: DomainError unless an int >= 1."""
     try:
         cap = int(text)
     except ValueError:
-        cap = 0
-    if cap < 1:
-        raise argparse.ArgumentTypeError(
-            "must be an integer >= 1, got %r" % text)
-    return cap
+        cap = text
+    return reps.require_dim_cap(cap)
 
 
 def _poly_tsv(poly):

@@ -56,9 +56,9 @@ def free_object(summands):
     return tuple(sorted(out))
 
 
-def structure_sheaf(datum, degree=0):
-    zero = tuple([0] * datum.weight_dim)
-    return free_object([(zero, degree)])
+def structure_sheaf(datum):
+    """The free object V_0 in internal degree 0; mixed_shift shifts it."""
+    return free_object([(tuple([0] * datum.weight_dim), 0)])
 
 
 def mixed_shift(obj, n):
@@ -89,9 +89,10 @@ def hom_profile_kostant(datum, source, target):
     For each summand pair the geometric-degree-2k dimension is the number of
     copies of each V_nu in V_mu tensor V_lam^* weighted by the q^k piece of
     the graded multiplicity of V_nu in the coordinate ring
-    (:func:`_kostant_pair`).  Every summand weight is checked before any
-    pair is looked up.
+    (:func:`_kostant_pair`).  Both objects pass free_object and every
+    summand weight is checked before any pair is looked up.
     """
+    source, target = free_object(source), free_object(target)
     for lam, _ in [*source, *target]:
         _require_dominant(datum, lam)
     table = {}
@@ -117,7 +118,9 @@ def _kostant_pair(datum, lam, mu):
 def hom_profile_slice(datum, source, target, dim_cap=DEFAULT_DIM_CAP):
     """Same table, over the principal sl2 strings of each summand
     (:func:`_strings`), one system per summand pair (:func:`_slice_pair`).
-    Every summand passes the dimension cap before any module is built."""
+    Both objects pass free_object and every summand passes check_dim_cap
+    before any module is built."""
+    source, target = free_object(source), free_object(target)
     for lam, _ in [*source, *target]:
         check_dim_cap(datum, lam, dim_cap)
     table = {}
@@ -315,20 +318,26 @@ def adjunction_check(datum, v1, v2):
     return lhs == rhs
 
 
+def _shifted_summands(datum, lam, mu, i, j):
+    """V_lam in degree i and V_mu in degree j, as checked free objects."""
+    _require_dominant(datum, lam)
+    _require_dominant(datum, mu)
+    return free_object([(lam, i)]), free_object([(mu, j)])
+
+
 def orlov_degree_hom(datum, lam, mu, i, j):
     """Dimension of the abelian-category Hom between two shifted summands.
 
     Only the piece matching the internal-degree gap survives the grading:
-    geometric function degree i - j.
+    geometric function degree i - j.  Weights and degrees are checked first.
     """
+    source, target = _shifted_summands(datum, lam, mu, i, j)
     if i == j:
         return 1 if tuple(lam) == tuple(mu) else 0
     gap = i - j
     if gap < 0 or gap % 2:
         return 0
-    table = hom_profile_kostant(datum, free_object([(lam, i)]),
-                                free_object([(mu, j)]))
-    return table.get((j - i, gap), 0)
+    return hom_profile_kostant(datum, source, target).get((j - i, gap), 0)
 
 
 def orlov_axiom_check(datum, lam, mu, i, j):
@@ -336,12 +345,13 @@ def orlov_axiom_check(datum, lam, mu, i, j):
 
     Where the axioms claim a value (i = j, or an odd or negative gap
     i - j), orlov_degree_hom must equal the Kostant profile's entry at
-    (j - i, i - j); an admissible slot claims nothing and is not checked.
+    (j - i, i - j); an admissible slot claims nothing and is not checked,
+    but its weights and degrees are.
     """
+    source, target = _shifted_summands(datum, lam, mu, i, j)
     gap = i - j
     if gap > 0 and gap % 2 == 0:
         return True
-    table = hom_profile_kostant(datum, free_object([(lam, i)]),
-                                free_object([(mu, j)]))
+    table = hom_profile_kostant(datum, source, target)
     return orlov_degree_hom(datum, lam, mu, i, j) == table.get((-gap, gap), 0)
 

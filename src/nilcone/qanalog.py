@@ -265,9 +265,10 @@ def hilbert_series_complete_intersection(exponents, dim_g, truncation):
     q tracks half the geometric degree, so the dim_g generators sit in
     degree 1 and the fundamental invariants in degrees m_i + 1.
     """
+    require_truncation(truncation, 1)
     factors = [geometric_series(1, truncation)] * dim_g
     series = product_truncated(factors, truncation)
     numerator = QPoly.one()
     for m in exponents:
-        numerator = numerator * (QPoly.one() - QPoly.q(m + 1))
+        numerator = numerator * QPoly({0: 1, m + 1: -1})
     return (series * numerator).truncated(truncation)

@@ -29,10 +29,6 @@ class QPoly:
     def one(cls):
         return cls({0: 1})
 
-    @classmethod
-    def q(cls, exponent=1, coeff=1):
-        return cls({exponent: coeff})
-
     def is_zero(self):
         return not self.coeffs
 

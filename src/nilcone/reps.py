@@ -33,8 +33,7 @@ Operators are stored sparsely as {column: {row: int}}.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, lcm
-from numbers import Rational
+from math import gcd
 
 from .errors import DomainError, ResourceError
 from .qpoly import QPoly, product_truncated, require_truncation
@@ -97,15 +96,6 @@ def op_compose(a, b):
         if img:
             out[c] = img
     return out
-
-
-def op_equal(a, b):
-    return _op_norm(a) == _op_norm(b)
-
-
-def _op_norm(op):
-    return {c: {r: v for r, v in col.items() if v} for c, col in op.items()
-            if any(col.values())}
 
 
 def op_commutator(a, b):
@@ -284,7 +274,7 @@ class MatrixRep:
             for j in range(d.rank):
                 lhs = op_commutator(self.e_ops[i], self.f_ops[j])
                 rhs = hi if i == j else {}
-                assert op_equal(lhs, rhs), "[e_%d, f_%d] failed" % (i, j)
+                assert lhs == rhs, "[e_%d, f_%d] failed" % (i, j)
         char = irreducible_character(d, self.highest_weight)
         for w, idxs in self.weight_spaces.items():
             assert char.get(w, 0) == len(idxs), "weight space dim mismatch at %r" % (w,)
@@ -304,7 +294,7 @@ class MatrixRep:
                     acc = ops[j]
                     for _ in range(n):
                         acc = op_commutator(ops[i], acc)
-                    if _op_norm(acc):
+                    if acc:
                         ok = False
         return ok
 
@@ -327,9 +317,17 @@ class MatrixRep:
         }
 
 
+def require_dim_cap(dim_cap):
+    """dim_cap, once it is an int (not a bool) of at least 1."""
+    if type(dim_cap) is not int or dim_cap < 1:
+        raise DomainError("dim_cap must be an int >= 1, got %r" % (dim_cap,))
+    return dim_cap
+
+
 def check_dim_cap(datum, lam, dim_cap=DEFAULT_DIM_CAP):
-    """lam as a tuple, once it is dominant and dim V_lam is within dim_cap;
-    checked from the Weyl dimension, before any module is built."""
+    """lam as a tuple, once dim_cap is valid, lam is dominant and dim V_lam
+    is within dim_cap, checked from the Weyl dimension before any build."""
+    require_dim_cap(dim_cap)
     _require_dominant(datum, lam)
     lam = tuple(lam)
     dim = weyl_dimension(datum, lam)
@@ -394,18 +392,12 @@ def _build_irrep(datum, lam):
     return rep
 
 
-def principal_e(rep, coefficients=None):
-    """Sum of the simple raising operators (any nonzero ints or Fractions)."""
-    rank = rep.datum.rank
-    if coefficients is None:
-        coefficients = [1] * rank
-    if len(coefficients) != rank or any(
-            not c or not isinstance(c, Rational) for c in coefficients):
-        raise DomainError("need one nonzero rational coefficient per simple "
-                          "root")
+def principal_e(rep):
+    """The principal nilpotent e = sum of the simple raising operators; all
+    principal nilpotents are conjugate (Kostant, 1959)."""
     out = {}
-    for i in range(rank):
-        out = op_add(out, rep.e_ops[i], coefficients[i])
+    for op in rep.e_ops:
+        out = op_add(out, op)
     return out
 
 
@@ -539,7 +531,7 @@ class FiltrationProfile:
 
 
 @lru_cache(maxsize=_MODULES_KEPT)
-def _layer_rows(rep, coefficients=None):
+def _layer_rows(rep):
     """Labelled integer rows cutting out the kernels of the powers of e.
 
     Layer d is the span of the basis vectors of principal degree d, and e
@@ -556,16 +548,10 @@ def _layer_rows(rep, coefficients=None):
     which keeps the span of the rows labelled >= k for every k.  (On a
     filtration-sweep round this hands _eliminate 5,704 rows where a
     coordinate row at every index handed it 11,111; 5,505 are kept either
-    way.)  Returns {d: [(label, row), ...]}, labels decreasing.
-    Coefficients, if given, come as a tuple: they key the memo.  They are
-    multiplied by their common denominator, which keeps every kernel of a
-    power of e and makes the entries of e integers.
+    way.)  Returns {d: [(label, row), ...]}, labels decreasing.  The memo
+    is keyed on the module alone: e is always the principal_e of rep.
     """
-    if coefficients is not None:
-        ratios = [c.as_integer_ratio() for c in coefficients]
-        scale = lcm(*(d for _, d in ratios))
-        coefficients = [n * (scale // d) for n, d in ratios]
-    e = principal_e(rep, coefficients)
+    e = principal_e(rep)
     # e transposed: the coordinate row of each target basis vector
     e_rows = op_transpose(e)
     out = {}
@@ -582,8 +568,9 @@ def _layer_rows(rep, coefficients=None):
     return out
 
 
-def bk_filtration(rep, lam, coefficients=None):
-    """Filtration of the lam weight space by kernels of e powers.
+def bk_filtration(rep, lam):
+    """Filtration of the lam weight space by kernels of the powers of the
+    principal nilpotent e = principal_e(rep).
 
     dims[i] is the dimension of ker e^(i+1) on V_lam, up to the first i
     where that is all of V_lam.  With the rows of lam's layer
@@ -597,10 +584,7 @@ def bk_filtration(rep, lam, coefficients=None):
     m = len(cols)
     if m == 0:
         return FiltrationProfile(lam, {}, 0)
-    if coefficients is not None:
-        coefficients = tuple(coefficients)
-    layer = _layer_rows(rep, coefficients).get(
-        rep.datum.pair_2rho_check(lam), ())
+    layer = _layer_rows(rep).get(rep.datum.pair_2rho_check(lam), ())
     rows = []  # (label, row restricted to V_lam)
     for label, row in layer:
         part = {c: row[c] for c in cols if c in row}
@@ -617,9 +601,9 @@ def bk_filtration(rep, lam, coefficients=None):
     return FiltrationProfile(lam, dims, m)
 
 
-def bk_profile_all_weights(rep, coefficients=None):
+def bk_profile_all_weights(rep):
     """bk_filtration for every weight of the module, one pass."""
-    return {w: bk_filtration(rep, w, coefficients) for w in rep.weight_spaces}
+    return {w: bk_filtration(rep, w) for w in rep.weight_spaces}
 
 
 def verify_theorem_filtrations(datum, nu, lam, dim_cap=DEFAULT_DIM_CAP):

@@ -30,7 +30,7 @@ from .characters import tensor_decompose
 
 
 def _require_even(n):
-    if n % 2:
+    if type(n) is not int or n % 2:
         raise DomainError("orbit labels are even integers, got %r" % (n,))
 
 
@@ -211,8 +211,9 @@ def _convolve_recursive(m, k):
 
 def resolution_term(j):
     """Label of the degree-j term of the projective resolution (j <= 0)."""
-    if j > 0:
-        raise DomainError("resolution indices are nonpositive")
+    if type(j) is not int or j > 0:
+        raise DomainError("resolution indices are nonpositive integers, "
+                          "got %r" % (j,))
     if j == 0:
         return 0
     m = (-j + 1) // 2
@@ -222,12 +223,15 @@ def resolution_term(j):
 def hom_complex_profile(k, window):
     """Hom dimensions from the resolution into its convolution with IC_k.
 
-    For each resolution index i in the window, maps complex degree n to
-    dim Hom(P^i, P^(i+n) * IC_k), through composition multiplicities.
+    For each resolution index i in the int window (lo, hi), maps complex
+    degree n to dim Hom(P^i, P^(i+n) * IC_k), by composition multiplicities.
     """
     _require_even(k)
     if k < 0:
         raise DomainError("spherical label must be nonnegative")
+    if not (isinstance(window, (tuple, list)) and len(window) == 2
+            and all(type(t) is int for t in window)):
+        raise DomainError("window must be two integers, got %r" % (window,))
     lo, hi = window
     out = {}
     for i in range(min(hi, 0), lo - 1, -1):
@@ -250,24 +254,24 @@ def _index_profile(k, i):
     return profile
 
 
-def hom_complex_pattern(k, probe_depth=None):
+def hom_complex_pattern(k):
     """(eventual per-index profile, exceptional prefix profiles).
 
     Profiles of deep resolution indices stabilize; the prefix collects the
-    indices that differ from the stable pattern.
+    indices that differ from the stable pattern.  Indices 0 to -(k//2 + 6)
+    are probed, and the two deepest must agree.
     """
     _require_even(k)
-    if probe_depth is None:
-        probe_depth = k // 2 + 6
-    profiles = {i: _index_profile(k, i) for i in range(0, -probe_depth - 1, -1)}
-    deepest = profiles[-probe_depth]
-    assert profiles[-probe_depth + 1] == deepest, \
+    depth = k // 2 + 6
+    profiles = {i: _index_profile(k, i) for i in range(0, -depth - 1, -1)}
+    deepest = profiles[-depth]
+    assert profiles[-depth + 1] == deepest, \
         "profiles did not stabilize within the probe depth"
     exceptional = {}
-    for i in range(0, -probe_depth - 1, -1):
+    for i in range(0, -depth - 1, -1):
         if profiles[i] != deepest:
             exceptional[i] = profiles[i]
-        elif all(profiles[t] == deepest for t in range(i, -probe_depth - 1, -1)):
+        elif all(profiles[t] == deepest for t in range(i, -depth - 1, -1)):
             break
     return deepest, exceptional
 
@@ -276,8 +280,9 @@ def euler_characteristic(profile):
     return sum(d if n % 2 == 0 else -d for n, d in profile.items())
 
 
-def table_rows(kinds=("standard", "costandard", "projective"), labels=range(-8, 10, 2)):
-    """TSV-ready rows for the requested objects."""
+def table_rows(kinds, labels):
+    """TSV-ready rows for the objects of the given kinds ("standard",
+    "costandard", "projective") and labels."""
     builders = {"standard": standard_class, "costandard": costandard_class,
                 "projective": projective_class}
     rows = []

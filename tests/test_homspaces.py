@@ -269,6 +269,15 @@ def test_orlov_diagonal_dimension(a2):
     o = structure_sheaf(a2)
     table = hom_profile_kostant(a2, o, v)
     assert orlov_degree_hom(a2, (0, 0), (1, 1), 0, -2) == table[(0, 2)]
+    # both weights are checked before the diagonal or the gap decides
+    for lam in ((-1, 0), (9, 9, 9), (1.0, 0)):
+        for i, j in ((3, 3), (2, 0), (0, 1)):
+            with pytest.raises(DomainError):
+                orlov_degree_hom(a2, lam, lam, i, j)
+            with pytest.raises(DomainError):
+                orlov_axiom_check(a2, lam, (1, 0), i, j)
+            with pytest.raises(DomainError):
+                orlov_axiom_check(a2, (1, 0), lam, i, j)
 
 
 def test_orlov_check_fails_on_a_wrong_profile(a2, monkeypatch):
@@ -286,13 +295,23 @@ def test_orlov_check_fails_on_a_wrong_profile(a2, monkeypatch):
 
 @pytest.mark.parametrize("degree", [1.5, Fraction(3, 2), 0.9, "x", True,
                                     None])
-def test_free_object_rejects_non_int_degrees(degree):
+def test_free_object_rejects_non_int_degrees(degree, a2):
     """A degree is never truncated or coerced: anything but an int (bools
-    excluded) is a domain error."""
+    excluded) is a domain error, also where a Hom route or an Orlov check
+    is handed the raw summands."""
     assert free_object([((1, 0), 2), ((0, 0), -1)]) == \
         (((0, 0), -1), ((1, 0), 2))
     with pytest.raises(DomainError):
         free_object([((1, 0), degree)])
+    raw = [((1, 0), degree)]
+    for route in (hom_profile_kostant, hom_profile_slice):
+        with pytest.raises(DomainError):
+            route(a2, raw, raw)
+    for check in (orlov_degree_hom, orlov_axiom_check):
+        with pytest.raises(DomainError):
+            check(a2, (1, 0), (1, 0), degree, degree)
+        with pytest.raises(DomainError):
+            check(a2, (1, 0), (1, 0), 2, degree)
 
 
 @pytest.mark.parametrize("summand", [(1, 0), ((1, 0), 0, 0), ((1, 0),), 5,

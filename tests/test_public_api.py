@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -15,6 +16,25 @@ def test_every_export_resolves():
     namespace = {}
     exec("from nilcone import *", namespace)
     assert set(nilcone.__all__) <= set(namespace)
+
+
+def test_public_options_are_the_used_ones():
+    """The only defaulted parameters of the public functions are the two
+    that callers set to different values: the CLI's --dim-cap, and the
+    truncation that tells the Hilbert sum route from the full graded
+    multiplicity.  An option no caller sets is a constant instead."""
+    functions = [getattr(nilcone, name) for name in nilcone.__all__]
+    functions += [value for name, value in vars(nilcone.sl2).items()
+                  if not name.startswith("_")
+                  and getattr(value, "__module__", None) == "nilcone.sl2"]
+    options = set()
+    for fn in functions:
+        # lru_cache wrappers count: signature reads through __wrapped__
+        if callable(fn) and not isinstance(fn, type):
+            options |= {name for name, param in
+                        inspect.signature(fn).parameters.items()
+                        if param.default is not param.empty}
+    assert options == {"dim_cap", "truncation"}, sorted(options)
 
 
 def test_import_loads_no_hashlib_or_json():

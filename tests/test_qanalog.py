@@ -372,7 +372,8 @@ def test_sum_route_names_no_product_route():
 
 @pytest.mark.parametrize("function,truncation", [
     ("hilbert", 2.5), ("hilbert", 0), ("graded", 2.5), ("graded", -1),
-    ("graded", True), ("poincare", 2.5), ("poincare", -1)])
+    ("graded", True), ("poincare", 2.5), ("poincare", -1), ("product", 0),
+    ("product", 2.5), ("product", True)])
 def test_bad_truncations_are_domain_errors(function, truncation, a2_adj,
                                            monkeypatch):
     """poincare_gr checks its truncation before it builds the centralizer."""
@@ -381,6 +382,8 @@ def test_bad_truncations_are_domain_errors(function, truncation, a2_adj,
     monkeypatch.setattr(reps, "centralizer_and_exponents", no_centralizer)
     call = {"hilbert": hilbert_series_nilcone,
             "graded": lambda d, t: graded_mult_in_nilcone(d, (1, 1), t),
-            "poincare": reps.poincare_gr}[function]
+            "poincare": reps.poincare_gr,
+            "product": lambda d, t: hilbert_series_complete_intersection(
+                [1, 2], 8, t)}[function]
     with pytest.raises(DomainError):
         call(a2_adj, truncation)

@@ -22,8 +22,12 @@ def test_orbit_dims():
     assert orbit_dim(4) == 4
     assert orbit_dim(-4) == 3
     assert [orbit_dim(n) for n in (-2, 2, -6)] == [1, 2, 5]
-    with pytest.raises(DomainError):
-        orbit_dim(3)
+    # labels are even ints: no float, bool, string or None
+    for bad in (3, 2.0, True, False, "2", None):
+        for build in (orbit_dim, standard_class, costandard_class,
+                      projective_class, hom_complex_pattern):
+            with pytest.raises(DomainError):
+                build(bad)
 
 
 def _layers_from_golden(layers):
@@ -76,6 +80,10 @@ def test_convolution_table_cases():
         convolve_ic(2, -2)
     with pytest.raises(DomainError):
         convolve_ic(1, 2)
+    for m, k in ((2.0, 2), (2, 2.0), (False, 2), (2, True)):
+        for convolve in (convolve_ic, convolve_ic_recursive):
+            with pytest.raises(DomainError):
+                convolve(m, k)
 
 
 def test_convolution_recursion_matches_closed_form():
@@ -113,8 +121,9 @@ def test_spherical_subtable_is_tensor_ring(a1_adj):
 def test_resolution_terms():
     assert [resolution_term(j) for j in range(0, -7, -1)] == \
         [0, -2, 2, -4, 4, -6, 6]
-    with pytest.raises(DomainError):
-        resolution_term(1)
+    for bad in (1, -1.5, -2.0, False, "0", None):
+        with pytest.raises(DomainError):
+            resolution_term(bad)
 
 
 def test_hom_dim_proj_examples():
@@ -151,6 +160,10 @@ def test_hom_complex_profile_window():
     assert set(profiles) == {0, -1, -2, -3, -4}
     assert profiles[-2] == {-1: 1, 0: 2, 1: 1}
     assert profiles[0] == {-1: 1, 0: 2}
+    for window in ((0.5, 0), (0, 0.5), (True, 0), (-2,), (-2, 0, 1), "ab",
+                   None):
+        with pytest.raises(DomainError):
+            hom_complex_profile(0, window)
 
 
 def test_convolve_class_linearity():
