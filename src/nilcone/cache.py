@@ -10,8 +10,6 @@ when it is true: with the variable unset no request exists, and fetch and
 store are not called, and neither hashlib nor json is imported.
 """
 
-from __future__ import annotations
-
 import os
 
 

@@ -10,9 +10,6 @@ ch V_{w.(lam + nu)}, with w.mu = w(mu + rho) - rho the dot action, so no
 product character is built and no constituent's character is expanded.
 """
 
-from __future__ import annotations
-
-from fractions import Fraction
 from functools import lru_cache
 
 from . import cache
@@ -21,20 +18,27 @@ from .roots import _dot, _vec_add, _vec_sub
 
 
 def _require_weight(datum, weight):
-    """A weight is weight_dim exact entries: ints, or Fractions for a vector
-    off the lattice, where every multiplicity and q-analog is 0."""
+    """A weight is weight_dim exact entries: ints (not bools), or Fractions
+    for a vector off the lattice, where every multiplicity and q-analog is 0.
+    An int entry is accepted first, so only another entry loads fractions;
+    a caller that passes a Fraction has loaded it already."""
     if len(weight) != datum.weight_dim or not all(
-            isinstance(c, (int, Fraction)) for c in weight):
+            type(c) is int or _is_fraction(c) for c in weight):
         raise DomainError("weight %r is not %d exact coordinates for %s"
                           % (weight, datum.weight_dim, datum.name))
 
 
+def _is_fraction(c):
+    from fractions import Fraction
+    return isinstance(c, Fraction)
+
+
 def _require_dominant(datum, weight):
-    """DomainError unless weight is a dominant weight of ints.  Every hot
-    path runs this check, so _require_weight, which gives a malformed
-    weight its own message, runs only on failure."""
+    """DomainError unless weight is a dominant weight of ints (not bools).
+    Every hot path runs this check, so _require_weight, which gives a
+    malformed weight its own message, runs only on failure."""
     if len(weight) != datum.weight_dim or not all(
-            isinstance(c, int) for c in weight) \
+            type(c) is int for c in weight) \
             or not datum.is_dominant(weight):
         _require_weight(datum, weight)
         raise DomainError("weight %r is not a dominant lattice weight for %s"

@@ -10,10 +10,7 @@ strings, never floats.
 Exit codes: 0 success, 1 domain/configuration error, 2 resource error.
 """
 
-from __future__ import annotations
-
 import argparse
-import json
 import sys
 
 from .errors import ConfigurationError, DomainError, ResourceError
@@ -59,7 +56,10 @@ def _poly_tsv(poly):
 
 
 def _emit(args, result, tsv_text):
+    """Write the result as JSON or as tsv_text, to --out or stdout.  json
+    is imported only here, so tsv output and error lines never load it."""
     if args.output == "json":
+        import json
         text = json.dumps({"schema": SCHEMA, "result": result},
                           sort_keys=True, separators=(",", ":"))
     else:
@@ -196,8 +196,6 @@ _SL2_KINDS = {"delta": "standard", "nabla": "costandard", "proj": "projective"}
 
 def cmd_sl2_table(args):
     kind = _SL2_KINDS.get(args.object, args.object)
-    if kind not in ("standard", "costandard", "projective"):
-        raise DomainError("unknown object kind %r" % args.object)
     try:
         labels = [int(t) for t in args.labels.split(",")] if args.labels else \
             list(range(-8, 10, 2))

@@ -24,8 +24,6 @@ exposed in geometric (even) units; the half-degree q-exponents of module
 qanalog are doubled at this boundary only.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from math import lcm
 

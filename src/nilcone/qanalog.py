@@ -7,8 +7,6 @@ A graded multiplicity or Hilbert series asked for through q^T is computed
 through q^T only: every q-Kostant count below it stops at q^T.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from . import cache

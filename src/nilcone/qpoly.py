@@ -5,8 +5,6 @@ negative.  Zero coefficients are never stored, so equality of the
 coefficient dicts is equality of polynomials.
 """
 
-from __future__ import annotations
-
 from .errors import DomainError
 
 

@@ -30,8 +30,6 @@ built.
 Operators are stored sparsely as {column: {row: int}}.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from math import gcd
 

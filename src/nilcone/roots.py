@@ -8,9 +8,6 @@ bases meet is the pairing-coordinate conversion pair
 (:func:`RootDatum.pairing_coords`, :func:`RootDatum.weight_from_pairing`).
 """
 
-from __future__ import annotations
-
-from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from operator import add, mul, sub
@@ -116,7 +113,7 @@ class RootDatum:
     """Root datum of one preset (or of a Levi subgroup of one).
 
     __init__ precomputes the simple roots and coroots, the positive roots,
-    rho and 2rho-check, the integer factors of Weyl's dimension formula,
+    2rho and 2rho-check, the integer factors of Weyl's dimension formula,
     and the integer adjugate and determinant of the
     simple-root matrix (and of the Cartan matrix in the root basis), so
     root_coordinates and weight_from_pairing are integer mat-vecs; a Levi
@@ -194,8 +191,6 @@ class RootDatum:
         roots = self.positive_roots()
         self.two_rho_coweight = tuple(
             sum(r.coroot[k] for r in roots) for k in range(self.weight_dim))
-        self.rho = tuple(
-            Fraction(sum(r.weight[k] for r in roots), 2) for k in range(self.weight_dim))
         self.two_rho = tuple(sum(r.weight[k] for r in roots) for k in range(self.weight_dim))
         # Weyl's product formula, doubled: dim V_lam is the product of
         # <2 lam, coroot> + shift over dim_factors, over dim_denominator
@@ -203,6 +198,14 @@ class RootDatum:
                                  for r in roots)
         self.dim_denominator = prod(shift for _, shift in self.dim_factors)
         self.simple_pairs = tuple(zip(self.simple_coroots, self.simple_roots))
+
+    @property
+    def rho(self):
+        """rho, half the sum of the positive roots, in Fractions: half of the
+        integer two_rho (Humphreys, GTM 9, §13.3).  The library computes with
+        two_rho, so fractions is imported here and not by `import nilcone`."""
+        from fractions import Fraction
+        return tuple(Fraction(c, 2) for c in self.two_rho)
 
     # -- basic pairing and reflection operations -------------------------
 

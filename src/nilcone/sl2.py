@@ -20,8 +20,6 @@ classes.  Everything is generated; the boxed tables live only in test
 golden files.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from .errors import DomainError
@@ -282,9 +280,13 @@ def euler_characteristic(profile):
 
 def table_rows(kinds, labels):
     """TSV-ready rows for the objects of the given kinds ("standard",
-    "costandard", "projective") and labels."""
+    "costandard", "projective") and labels.  DomainError on an unknown
+    kind, before any row is built."""
     builders = {"standard": standard_class, "costandard": costandard_class,
                 "projective": projective_class}
+    for kind in kinds:
+        if kind not in builders:
+            raise DomainError("unknown object kind %r" % (kind,))
     rows = []
     for kind in kinds:
         for n in labels:

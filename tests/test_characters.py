@@ -550,7 +550,7 @@ _WEIGHT_ARGUMENTS = {
 
 
 @pytest.mark.parametrize("entry", sorted(_WEIGHT_ARGUMENTS))
-@pytest.mark.parametrize("weight", [(1,), (1, 0, 5), (1.0, 0)])
+@pytest.mark.parametrize("weight", [(1,), (1, 0, 5), (1.0, 0), (True, 0)])
 def test_weights_of_the_wrong_shape_are_domain_errors(a2, entry, weight):
     with pytest.raises(DomainError):
         _WEIGHT_ARGUMENTS[entry](a2, weight)

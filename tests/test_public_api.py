@@ -37,16 +37,29 @@ def test_public_options_are_the_used_ones():
     assert options == {"dim_cap", "truncation"}, sorted(options)
 
 
-def test_import_loads_no_hashlib_or_json():
-    """The disk cache imports hashlib and json only when it is used, so a
-    plain `import nilcone` in a fresh interpreter loads neither."""
+def _modules_added_by(statement):
+    """The modules a fresh interpreter loads to run `statement`."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(nilcone.__file__)))
-    script = ("import sys; before = set(sys.modules); import nilcone; "
-              "print(' '.join(sorted(set(sys.modules) - before)))")
+    script = ("import sys; before = set(sys.modules); %s; "
+              "print(' '.join(sorted(set(sys.modules) - before)))" % statement)
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("NILCONE_CACHE_DIR", None)
     child = subprocess.run([sys.executable, "-c", script], capture_output=True,
                            text=True, env=env, timeout=60, check=True)
-    added = set(child.stdout.split())
+    return set(child.stdout.split())
+
+
+def test_import_loads_only_what_a_call_uses():
+    """`import nilcone` loads no module that only some calls use: not
+    hashlib or json (the disk cache imports them when it is used), not
+    fractions with decimal and numbers (only a Fraction argument or
+    RootDatum.rho needs it) and not __future__.  `import nilcone.cli` adds
+    only argparse and gettext; json waits for JSON output."""
+    added = _modules_added_by("import nilcone")
     assert "nilcone" in added
-    assert not added & {"hashlib", "_hashlib", "json"}, sorted(added)
+    unused = {"hashlib", "_hashlib", "json", "fractions", "decimal",
+              "_decimal", "numbers", "__future__"}
+    assert not added & unused, sorted(added & unused)
+    cli = {name for name in _modules_added_by("import nilcone.cli")
+           if name != "nilcone" and not name.startswith("nilcone.")}
+    assert cli <= {"argparse", "gettext"}, sorted(cli)

@@ -41,6 +41,9 @@ def test_lusztig_examples(a1_adj, a2):
 def test_lusztig_requires_dominant(a2):
     with pytest.raises(DomainError):
         lusztig_q_analog(a2, (0, -1), (0, 0))
+    # bools are not weight coordinates, though True == 1
+    with pytest.raises(DomainError):
+        lusztig_q_analog(a2, (True, True), (0, 0))
 
 
 @pytest.mark.parametrize("preset,bound", [

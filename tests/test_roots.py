@@ -28,6 +28,21 @@ def test_preset_shape(preset):
     assert len(datum.weyl_elements()) == w_order
 
 
+@pytest.mark.parametrize("preset", sorted(EXPECTED))
+def test_rho_is_half_the_sum_of_the_positive_roots(preset):
+    """rho, read off the integer two_rho, is exactly half the sum of the
+    positive roots, on the preset and on a Levi of it; it is derived, so
+    it cannot be assigned."""
+    datum = build_datum(preset)
+    for d in (datum, datum.levi((0,))):
+        roots = d.positive_roots()
+        assert d.rho == tuple(Fraction(sum(r.weight[k] for r in roots), 2)
+                              for k in range(d.weight_dim)), d.name
+        assert all(type(c) is Fraction for c in d.rho)
+        with pytest.raises(AttributeError):
+            d.rho = d.rho
+
+
 def test_unknown_preset_names_supported():
     with pytest.raises(ConfigurationError) as err:
         build_datum("E8-sc")

@@ -176,6 +176,12 @@ def test_convolve_class_linearity():
     assert out == expected
 
 
+@pytest.mark.parametrize("kinds", [("bogus",), ("standard", "bogus")])
+def test_table_rows_rejects_unknown_kinds(kinds):
+    with pytest.raises(DomainError, match="unknown object kind 'bogus'"):
+        table_rows(kinds, [0])
+
+
 def test_table_rows_shape():
     rows = table_rows(("projective",), [0])
     assert rows == [("projective", 0, 0, 0, 1),
