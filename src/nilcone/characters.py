@@ -65,21 +65,23 @@ def _weyl_dim(datum, lam):
 
 
 def _dominant_weights_below(datum, lam):
-    """All dominant mu with lam - mu a nonnegative root combination."""
-    found = set()
-    frontier = {tuple(lam)}
+    """All dominant mu with lam - mu a nonnegative root combination.
+
+    Each is reached from lam by steps mu -> mu - alpha, alpha > 0, through
+    dominant weights only (J. R. Stembridge, "The partial order of dominant
+    weights", Adv. Math. 136, 1998), so a step is kept when it lands on a
+    dominant weight, with no walk to the dominant chamber and no solve."""
+    roots = [root.weight for root in datum.positive_roots()]
+    found = {lam}
+    frontier = [lam]
     while frontier:
-        nxt = set()
+        nxt = []
         for mu in frontier:
-            if mu in found:
-                continue
-            found.add(mu)
-            for root in datum.positive_roots():
-                nu = _vec_sub(mu, root.weight)
-                dom = datum.dominant_representative(nu)
-                coords = datum.root_coordinates(_vec_sub(lam, dom))
-                if coords is not None and all(c >= 0 for c in coords) and dom not in found:
-                    nxt.add(dom)
+            for alpha in roots:
+                nu = _vec_sub(mu, alpha)
+                if nu not in found and datum.is_dominant(nu):
+                    found.add(nu)
+                    nxt.append(nu)
         frontier = nxt
     return found
 
@@ -179,8 +181,8 @@ def _character(datum, lam):
     if char is None:
         char = {}
         for dom, m in _dominant_mults(datum, lam).items():
-            for w in datum.weyl_orbit(dom):
-                char[w] = m
+            for w in datum.weyl_elements():
+                char[w.apply(dom)] = m
         if request is not None:
             cache.store(request, sorted([list(w), m] for w, m in char.items()))
     assert sum(char.values()) == dim

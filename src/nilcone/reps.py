@@ -37,7 +37,7 @@ from .errors import DomainError, ResourceError
 from .qpoly import QPoly, product_truncated, require_truncation
 from .roots import _vec_add
 from .characters import (irreducible_character, weyl_dimension,
-                         _require_dominant, _require_weight)
+                         _character, _require_dominant, _require_weight)
 
 DEFAULT_DIM_CAP = 400
 # layer rows of matrix modules kept in memory, each row set holding its module
@@ -186,7 +186,13 @@ def _hermite(columns):
     for the Hermite normal form (H. Cohen, GTM 138, §2.4); without that,
     entries of the B2-sc module V(1, 4) reached 496 bits, and with it no
     module of dimension <= 120 needs 20.  Returns the pivots by row.
+    A single column is its own basis, made positive at its first row.
     """
+    if len(columns) == 1:
+        col = columns[0]
+        if col and col[min(col)] < 0:
+            col = {k: -v for k, v in col.items()}
+        return [col] if col else []
     pivots = {}  # pivot row -> column, positive at that row
     for col in columns:
         while col:
@@ -221,8 +227,12 @@ def fraction_solve(columns):
     columns[j] = sum_t x[t] basis[t], read by back-substitution down the
     pivot rows.  The name predates the integer models; it stays because
     bench/tracing.py records the builder's one call per weight space by it.
+    A single nonzero column has coordinate +1 or -1 over its own basis.
     """
     basis = _hermite(columns)
+    if len(columns) == 1 and basis:
+        col = columns[0]
+        return basis, [{0: 1 if col[min(col)] > 0 else -1}]
     pos = {min(b): t for t, b in enumerate(basis)}
     coords = []
     for col in columns:
@@ -341,7 +351,7 @@ def build_irrep(datum, lam, dim_cap=DEFAULT_DIM_CAP):
 
 
 def _build_irrep(datum, lam):
-    char = irreducible_character(datum, lam)
+    char = _character(datum, lam)
     rank = datum.rank
     simple = datum.simple_roots
     # the basis in its final order: descending principal degree, then weight,
@@ -358,18 +368,22 @@ def _build_irrep(datum, lam):
     f_ops = [{} for _ in range(rank)]
     for mu in order[1:]:
         ups = [slots.get(_vec_add(mu, simple[j]), ()) for j in range(rank)]
+        direction = {r: j for j in range(rank) for r in ups[j]}
         # f_i b for each basis vector b of mu + alpha_i, and its e-image,
         # whose rows are the basis indices of the spaces mu + alpha_j
-        cands = [(i, b) for i in range(rank) for b in ups[i]]
+        cands = []
         columns = []
-        for i, b in cands:
-            # e_j f_i b = f_i e_j b + delta_ij h_i b
-            col = {b: datum.simple_pairing(basis[b][0], i)}
-            for e in e_ops:
-                for t, c in e.get(b, {}).items():
-                    for r, v in f_ops[i].get(t, {}).items():
-                        col[r] = col.get(r, 0) + c * v
-            columns.append({r: v for r, v in col.items() if v})
+        for i in range(rank):
+            h = datum.simple_pairing(_vec_add(mu, simple[i]), i)
+            for b in ups[i]:
+                # e_j f_i b = f_i e_j b + delta_ij h_i b
+                col = {b: h}
+                for e in e_ops:
+                    for t, c in e.get(b, {}).items():
+                        for r, v in f_ops[i].get(t, {}).items():
+                            col[r] = col.get(r, 0) + c * v
+                cands.append((i, b))
+                columns.append({r: v for r, v in col.items() if v})
         # no nonzero vector below lam is killed by every e_j, so a Z-basis
         # of the e-images is the e-image of a Z-basis of L(mu), and every
         # candidate's coords over it are those of its e-image
@@ -380,10 +394,8 @@ def _build_irrep(datum, lam):
             if x:
                 f_ops[i][b] = {slots[mu][t]: v for t, v in x.items()}
         for g, col in zip(slots[mu], images):
-            for j in range(rank):
-                image = {r: col[r] for r in ups[j] if r in col}
-                if image:
-                    e_ops[j][g] = image
+            for r, v in col.items():
+                e_ops[direction[r]].setdefault(g, {})[r] = v
 
     rep = MatrixRep(datum, lam, basis, e_ops, f_ops)
     rep.validate()

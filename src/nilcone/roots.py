@@ -386,9 +386,6 @@ class RootDatum:
                 return w, image
         raise DomainError("no dominant conjugate found; invalid weight")
 
-    def weyl_orbit(self, weight):
-        return sorted({w.apply(tuple(weight)) for w in self.weyl_elements()})
-
     # -- coordinate conversions (the single place bases meet) -------------
 
     def pairing_coords(self, weight):

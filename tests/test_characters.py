@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -360,7 +360,7 @@ def test_decompose_character_rejects_non_characters(preset, subset):
     # orbit, the other deletes an orbit weight
     full = irreducible_character(levi, lam)
     a, b = next(orbit[:2] for orbit in (
-        [w for w in levi.weyl_orbit(dom) if w != dom]
+        sorted({w.apply(dom) for w in levi.weyl_elements()} - {dom})
         for dom in sorted(full) if levi.is_dominant(dom)) if len(orbit) > 1)
     moved = dict(full)
     moved[a] += 1
@@ -426,6 +426,50 @@ def test_freudenthal_table_matches_per_weight_recursion(preset, pairing):
         if datum.is_dominant(mu):
             assert char[mu] == weight_multiplicity(datum, lam, mu) == \
                 _reference_mult(datum, lam, mu, memo), mu
+
+
+def _reference_dominant_weights_below(datum, lam):
+    """The dominant weights below lam by a walk-and-solve search: every
+    found weight minus every positive root, walked to the dominant chamber
+    and kept when lam minus it has nonnegative root coordinates."""
+    found = set()
+    frontier = {lam}
+    while frontier:
+        nxt = set()
+        for mu in frontier:
+            if mu in found:
+                continue
+            found.add(mu)
+            for root in datum.positive_roots():
+                dom = datum.dominant_representative(_vec_sub(mu, root.weight))
+                coords = datum.root_coordinates(_vec_sub(lam, dom))
+                if coords is not None and all(c >= 0 for c in coords) \
+                        and dom not in found:
+                    nxt.add(dom)
+        frontier = nxt
+    return found
+
+
+@pytest.mark.parametrize("preset", supported_presets())
+def test_dominant_steps_reach_every_dominant_weight_below(preset):
+    """Steps by positive roots through dominant weights alone (Stembridge)
+    find what the walk-and-solve search finds: on the datum over a pairing
+    box, and on every proper Levi, the torus included, for Levi-dominant
+    weights."""
+    import nilcone.characters as ch
+    datum = build_datum(preset)
+    box = range(6 if datum.rank < 3 else 4)
+    proper = [levi for levi in _levis(datum) if levi.rank < datum.rank]
+    for levi, outside in [(datum, (0,))] + [(levi, range(-3, 4))
+                                            for levi in proper]:
+        weights = {_weight(datum, levi, inside, rest)
+                   for inside in product(box, repeat=datum.rank)
+                   for rest in product(outside, repeat=datum.rank)}
+        weights.discard(None)
+        assert weights
+        for lam in weights:
+            assert ch._dominant_weights_below(levi, lam) == \
+                _reference_dominant_weights_below(levi, lam), lam
 
 
 @pytest.mark.parametrize("subset", [None, (), (0,), (1,)])

@@ -17,7 +17,7 @@ from nilcone.reps import (build_irrep, principal_e, centralizer_and_exponents,
                           verify_theorem_filtrations, poincare_gr,
                           op_compose, op_apply, op_commutator,
                           op_transpose, fraction_solve, int_columns_rank,
-                          _eliminate, _layer_rows, MatrixRep)
+                          _eliminate, _hermite, _layer_rows, MatrixRep)
 from nilcone import reps
 from nilcone.homspaces import hom_profile_slice
 from nilcone.qanalog import p_bk_polynomial
@@ -217,23 +217,43 @@ def test_weight_space_dims_match_freudenthal(g2):
 @pytest.mark.parametrize("preset,coords", [("B2-sc", (1, 1)), ("G2", (1, 0))])
 def test_one_elimination_per_weight_space(preset, coords, monkeypatch):
     """A build picks each weight space's Z-basis and every candidate's
-    coordinates over it with one reduction, and makes no elimination."""
+    coordinates over it with one reduction, through one fraction_solve call
+    (the call the benchmark's layer map records), and makes no
+    elimination."""
     import nilcone.reps
     datum = build_datum(preset)
     lam = datum.weight_from_pairing(coords)
-    calls = []
-    hermite = nilcone.reps._hermite
+    calls = {"_hermite": 0, "fraction_solve": 0}
 
-    def counted(*args):
-        calls.append(args)
-        return hermite(*args)
+    def counted(name):
+        inner = getattr(nilcone.reps, name)
+
+        def call(*args):
+            calls[name] += 1
+            return inner(*args)
+        return call
 
     def forbidden(*args):
         raise AssertionError("the build called _eliminate")
-    monkeypatch.setattr(nilcone.reps, "_hermite", counted)
+    for name in calls:
+        monkeypatch.setattr(nilcone.reps, name, counted(name))
     monkeypatch.setattr(nilcone.reps, "_eliminate", forbidden)
     rep = nilcone.reps._build_irrep(datum, lam)
-    assert len(calls) == len(rep.weight_spaces) - 1 > 1
+    below_top = len(rep.weight_spaces) - 1
+    assert calls == {"_hermite": below_top, "fraction_solve": below_top}
+    assert below_top > 1
+
+
+@pytest.mark.parametrize("column", [{0: 3, 2: -6}, {1: -2, 4: 5}, {}])
+def test_one_column_matches_the_general_reduction(column):
+    """One column is its own basis, positive at its first row, with
+    coordinate +1 or -1: exactly what the general loop returns, here run by
+    padding the column with a zero column, which it skips."""
+    assert _hermite([column]) == _hermite([column, {}])
+    basis, coords = fraction_solve([column])
+    general_basis, general_coords = fraction_solve([column, {}])
+    assert (basis, coords) == (general_basis, general_coords[:1])
+    assert all(type(v) is int for x in coords for v in x.values())
 
 
 # SHA-256 of the sorted-key JSON exports of every module of dimension
