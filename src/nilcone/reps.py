@@ -186,13 +186,7 @@ def _hermite(columns):
     for the Hermite normal form (H. Cohen, GTM 138, §2.4); without that,
     entries of the B2-sc module V(1, 4) reached 496 bits, and with it no
     module of dimension <= 120 needs 20.  Returns the pivots by row.
-    A single column is its own basis, made positive at its first row.
     """
-    if len(columns) == 1:
-        col = columns[0]
-        if col and col[min(col)] < 0:
-            col = {k: -v for k, v in col.items()}
-        return [col] if col else []
     pivots = {}  # pivot row -> column, positive at that row
     for col in columns:
         while col:

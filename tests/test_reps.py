@@ -246,9 +246,10 @@ def test_one_elimination_per_weight_space(preset, coords, monkeypatch):
 
 @pytest.mark.parametrize("column", [{0: 3, 2: -6}, {1: -2, 4: 5}, {}])
 def test_one_column_matches_the_general_reduction(column):
-    """One column is its own basis, positive at its first row, with
-    coordinate +1 or -1: exactly what the general loop returns, here run by
-    padding the column with a zero column, which it skips."""
+    """One column is its own basis, positive at its first row, and
+    fraction_solve gives it coordinate +1 or -1 without back-substitution:
+    exactly what the general path returns, here run by padding the column
+    with a zero column, which it skips."""
     assert _hermite([column]) == _hermite([column, {}])
     basis, coords = fraction_solve([column])
     general_basis, general_coords = fraction_solve([column, {}])
