@@ -8,6 +8,7 @@ through q^T only: every q-Kostant count below it stops at q^T.
 """
 
 from functools import lru_cache
+from operator import add, sub
 
 from . import cache
 from .qpoly import (QPoly, product_truncated, geometric_series,
@@ -21,21 +22,28 @@ def q_kostant(datum, nu):
 
     Counts expressions nu = sum over positive roots of n_alpha * alpha
     weighted by q^(sum n_alpha); the zero polynomial when there is none.
+    The count comes from the memo as coefficients and leaves as a QPoly.
     """
     _require_weight(datum, nu)
     coords = datum.root_coordinates(tuple(nu))
     if coords is None or any(c < 0 for c in coords):
         return QPoly.zero()
-    return _q_kostant_coords(datum, coords, len(datum.positive_roots()) - 1,
-                             sum(coords))
+    low, coeffs = _q_kostant_coords(
+        datum, coords, len(datum.positive_roots()) - 1, sum(coords)) or (0, ())
+    return QPoly(dict(enumerate(coeffs, low)))
 
 
 _STRIDE = 32
 
+# A q-Kostant count c_0 q^low + c_1 q^(low+1) + ... is the pair
+# (low, (c_0, c_1, ...)) with c_0 != 0, and zero is ().  Counts are never
+# negative, so a sum of two never cancels its leading coefficient.
+_ONE = (0, (1,))
+
 
 def _q_kostant_coords(datum, coords, idx, top):
     """q-Kostant count P_idx(coords) of root coordinates over the positive
-    roots 0..idx, through q^top.
+    roots 0..idx, through q^top, as a (low, coeffs) pair or ().
 
     Callers start at the highest root, which prunes fastest.  No root
     below alpha_idx is higher than it, so every term has degree at least
@@ -49,24 +57,29 @@ def _q_kostant_coords(datum, coords, idx, top):
     string before it meets a memoised point, however long the string is.
     """
     if not any(coords):
-        return QPoly.one()
+        return _ONE
     if idx < 0:
-        return QPoly.zero()
+        return ()
     root = datum.positive_roots()[idx]
     height = sum(coords)
     if -(-height // root.height) > top:
-        return QPoly.zero()
-    step = root.root_coords
-    length = min(c // r for c, r in zip(coords, step) if r)
-    if length >= _STRIDE:
-        for k in range(length, 0, -_STRIDE):
-            _q_kostant(datum, tuple(c - k * r for c, r in zip(coords, step)),
-                       idx, min(top, height - k * root.height))
+        return ()
+    # a string of _STRIDE steps below coords takes _STRIDE root heights
+    if height >= _STRIDE * root.height:
+        step = root.root_coords
+        length = min(c // r for c, r in zip(coords, step) if r)
+        if length >= _STRIDE:
+            for k in range(length, 0, -_STRIDE):
+                _q_kostant(datum,
+                           tuple(c - k * r for c, r in zip(coords, step)),
+                           idx, min(top, height - k * root.height))
     return _q_kostant(datum, coords, idx, min(top, height))
 
 
 @lru_cache(maxsize=None)
 def _q_kostant(datum, coords, idx, top):
+    """The memoised step of _q_kostant_coords: an immutable (low, coeffs)
+    pair or (), shared by every caller."""
     # the string sum telescopes: P_idx(c) = P_idx-1(c) + q P_idx(c - alpha_idx);
     # the second count runs at the same top, and its shift drops q^(top+1)
     out = _q_kostant_coords(datum, coords, idx - 1, top)
@@ -74,11 +87,38 @@ def _q_kostant(datum, coords, idx, top):
     below = _vec_sub(coords, root.root_coords)
     height = sum(below)
     if all(c >= 0 for c in below) and -(-height // root.height) <= top:
-        below = QPoly.one() if not height else \
-            _q_kostant(datum, below, idx, min(top, height))
-        below = below.shifted(1)
-        out = out + (below.truncated(top) if top <= height else below)
+        below = _times_q(
+            _q_kostant(datum, below, idx, min(top, height)) if height
+            else _ONE, top)
+        if below:
+            out = _added(out, below) if out else below
     return out
+
+
+def _times_q(count, top):
+    """q times a count, through q^top.  The slice that truncates shares
+    the whole tuple when nothing is dropped; its stop is clamped at 0,
+    since a negative stop would drop terms from the far end instead."""
+    if count:
+        low, coeffs = count
+        coeffs = coeffs[:max(0, top - low)]
+        if coeffs:
+            return low + 1, coeffs
+    return ()
+
+
+def _added(a, b):
+    """Sum of two nonzero counts, aligned by their lowest exponents."""
+    if a[0] > b[0]:
+        a, b = b, a
+    low, head = a
+    gap = b[0] - low
+    tail = b[1]
+    if gap >= len(head):
+        return low, head + (0,) * (gap - len(head)) + tail
+    # one of the two trailing slices is empty, whichever count ends first
+    return low, (head[:gap] + tuple(map(add, head[gap:], tail))
+                 + head[gap + len(tail):] + tail[len(head) - gap:])
 
 
 def lusztig_q_analog(datum, lam, mu):
@@ -122,10 +162,12 @@ def _q_analog(datum, lam, coords, top):
     Weyl element's integer rows with no solve.  Most terms are zero because
     a coordinate is negative (12,017 of the 15,870 terms of a
     character-tables round), so a term is dropped at its first negative
-    coordinate, before the others are formed.
+    coordinate, before the others are formed.  Every term stops at q^top,
+    so the terms add into one list of the coefficients of q^0..q^top, and
+    the QPoly is built once, at the end.
     """
     last = len(datum.positive_roots()) - 1
-    out = QPoly.zero()
+    out = [0] * (top + 1)
     for w in datum.weyl_elements():
         arg = []
         for row, s, c in zip(w.minus_one_coords, w.rho_shift_coords, coords):
@@ -135,8 +177,12 @@ def _q_analog(datum, lam, coords, top):
             arg.append(c)
         else:
             term = _q_kostant_coords(datum, tuple(arg), last, top)
-            out = out + (term if w.sign > 0 else -term)
-    return out
+            if term:
+                low, coeffs = term
+                end = low + len(coeffs)
+                out[low:end] = map(add if w.sign > 0 else sub,
+                                   out[low:end], coeffs)
+    return QPoly(dict(enumerate(out)))
 
 
 def _stored_q_analog(height, stored):

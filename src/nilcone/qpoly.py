@@ -2,7 +2,9 @@
 
 Coefficients are arbitrary-precision Python ints; exponents may be
 negative.  Zero coefficients are never stored, so equality of the
-coefficient dicts is equality of polynomials.
+coefficient dicts is equality of polynomials.  A constant compares equal
+to its int and hashes as it; an operand that is neither a QPoly nor an int
+is left to Python, which raises TypeError.
 """
 
 from .errors import DomainError
@@ -12,12 +14,15 @@ class QPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        # coeffs: map exponent -> coefficient; zeros are dropped
+        # coeffs: map int exponent -> int coefficient; zeros are dropped
         self.coeffs = {}
         if coeffs:
             for e, c in coeffs.items():
+                if type(e) is not int or type(c) is not int:
+                    raise DomainError("term %r: %r is not an integer "
+                                      "exponent and coefficient" % (e, c))
                 if c:
-                    self.coeffs[int(e)] = int(c)
+                    self.coeffs[e] = c
 
     @classmethod
     def zero(cls):
@@ -34,18 +39,20 @@ class QPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = QPoly({0: other})
-        if not isinstance(other, QPoly):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        if self.coeffs.keys() <= {0}:
+            return hash(self.coeffs.get(0, 0))
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = QPoly({0: other})
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             s = out.get(e, 0) + c
@@ -63,8 +70,9 @@ class QPoly:
         return res
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = QPoly({0: other})
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
@@ -74,6 +82,8 @@ class QPoly:
             res = QPoly()
             res.coeffs = {e: c * other for e, c in self.coeffs.items()}
             return res
+        if not isinstance(other, QPoly):
+            return NotImplemented
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -108,7 +118,9 @@ class QPoly:
 
     def truncated(self, n):
         """Drop all terms of exponent > n."""
-        return QPoly({e: c for e, c in self.coeffs.items() if e <= n})
+        res = QPoly()
+        res.coeffs = {e: c for e, c in self.coeffs.items() if e <= n}
+        return res
 
     def nonnegative(self):
         return all(c >= 0 for c in self.coeffs.values())
@@ -144,8 +156,22 @@ class QPoly:
         return out
 
 
+def _operand(other):
+    """other as a QPoly, an int (or bool) as a constant, or None."""
+    if isinstance(other, QPoly):
+        return other
+    if isinstance(other, int):
+        res = QPoly()
+        if other:
+            res.coeffs[0] = int(other)
+        return res
+    return None
+
+
 def geometric_series(step, n):
     """1 + q^step + q^(2*step) + ... truncated at exponent n."""
+    if isinstance(step, bool) or not isinstance(step, int) or step < 1:
+        raise DomainError("step must be an integer >= 1, got %r" % (step,))
     out = {}
     e = 0
     while e <= n:

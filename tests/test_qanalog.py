@@ -1,10 +1,11 @@
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nilcone.errors import DomainError
-from nilcone.qpoly import QPoly
+from nilcone.qpoly import QPoly, geometric_series
 from nilcone.roots import build_datum, supported_presets
 from nilcone.characters import weight_multiplicity, irreducible_character
 from nilcone import cache, characters, qanalog, reps
@@ -21,6 +22,42 @@ def test_qpoly_basics():
     assert QPoly({-1: 3}).shifted(2) == QPoly({1: 3})
     assert p.at_one() == 2
     assert str(QPoly({1: 1, 2: 1})) == "q + q^2"
+    assert geometric_series(2, 5) == QPoly({0: 1, 2: 1, 4: 1})
+
+
+@pytest.mark.parametrize("terms", [{0: 2.5}, {1.7: 1}, {0: Fraction(2)},
+                                   {0: True}, {True: 1}, {"1": 1}])
+def test_qpoly_rejects_inexact_terms(terms):
+    with pytest.raises(DomainError):
+        QPoly(terms)
+
+
+def test_constants_hash_as_their_ints():
+    """A constant equals its int, so it hashes as it; zero hashes as 0."""
+    for c in (0, 3, -7, 2 ** 70):
+        assert QPoly({0: c}) == c
+        assert hash(QPoly({0: c})) == hash(c)
+    assert len({QPoly({0: 3}), 3}) == 1
+    assert len({QPoly.zero(), 0}) == 1
+    assert QPoly({1: 3}) != 3
+
+
+@pytest.mark.parametrize("operand", [0.5, Fraction(1, 2), "q", None])
+def test_foreign_operands_raise_type_error(operand):
+    p = QPoly.one()
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(p, operand)
+    with pytest.raises(TypeError):
+        operand * p
+    assert p != operand
+    assert p + True == 2 and p * True == p
+
+
+@pytest.mark.parametrize("step", [0, -1, 1.5, True])
+def test_geometric_series_rejects_bad_steps(step):
+    with pytest.raises(DomainError):
+        geometric_series(step, 5)
 
 
 def test_q_kostant_examples(a1, a2):
@@ -201,6 +238,56 @@ def test_q_kostant_matches_string_sum(preset, coords):
     expected = _string_sum_q_kostant(datum, coords,
                                      len(datum.positive_roots()) - 1, {})
     assert q_kostant(datum, nu) == expected
+
+
+def test_q_kostant_memo_holds_coefficient_tuples(monkeypatch, a1, a3, g2):
+    """Every count the memo keeps is () or (low, coeffs): ints from q^low
+    up with a nonzero leading coefficient.  As a polynomial it is the
+    string sum truncated at its key's ceiling."""
+    memo = qanalog._q_kostant
+    kept = {}
+
+    def record(*key):
+        kept[key] = memo(*key)
+        return kept[key]
+
+    _clear_q_memos()
+    monkeypatch.setattr(qanalog, "_q_kostant", record)
+    hilbert_series_nilcone(g2, 12)
+    # (3, 3, 3) itself is off the root lattice, and its q-analog at 0 is
+    # 0 before any count is asked for
+    lusztig_q_analog(a3, (3, 3, 3), (1, 1, 1))
+    q_kostant(a1, (40000,))
+    assert len(kept) == memo.cache_info().currsize
+    assert {key[0] for key in kept} == {a1, a3, g2}
+    assert () in kept.values()
+    assert any(top < sum(coords) for _, coords, _, top in kept)
+    sums = {}
+    for (datum, coords, idx, top), count in kept.items():
+        assert count == () or (
+            type(count) is tuple and len(count) == 2
+            and type(count[0]) is int and type(count[1]) is tuple
+            and count[1] and count[1][0]
+            and all(type(c) is int for c in count[1])), count
+        # each point of the A1 string costs the string sum a walk down
+        # all of it, so that string is checked at every 2000th point
+        if datum is a1 and coords[0] % 2000:
+            continue
+        low, coeffs = count or (0, ())
+        expected = _string_sum_q_kostant(datum, coords, idx,
+                                         sums.setdefault(datum, {}))
+        assert QPoly(dict(enumerate(coeffs, low))) == \
+            expected.truncated(top), (datum, coords, idx, top)
+
+
+def test_times_q_truncates_at_any_stop():
+    """q times a count through q^top keeps all, some or none of its terms;
+    a top two below the shifted count drops them all."""
+    count = (2, (1, 2, 3))      # q^2 + 2q^3 + 3q^4
+    assert [qanalog._times_q(count, top) for top in range(1, 7)] == \
+        [(), (), (3, (1,)), (3, (1, 2)), (3, (1, 2, 3)), (3, (1, 2, 3))]
+    assert qanalog._times_q(count, 5)[1] is count[1]
+    assert qanalog._times_q((), 5) == ()
 
 
 def test_long_strings_need_no_deep_recursion(a1):
