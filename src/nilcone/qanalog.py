@@ -142,12 +142,14 @@ def lusztig_q_analog(datum, lam, mu):
     return out
 
 
-# q-analogs kept in memory.  The repeats come from the weights of one module
-# in one Weyl orbit: a filtration-sweep round repeats 2,952 of 5,095 calls,
-# and 64 entries keep every repeat.  Elsewhere arguments rarely repeat (none
-# of 590 calls on character-tables, whose Hilbert terms come in truncated and
-# each once), and a larger memo only holds memory: 256 entries raised
-# cli-cold's peak RSS by 1.5 %, an unbounded one by 3.9 %.
+# q-analogs kept in memory.  The repeats come from hom-routes' graded
+# multiplicities: a seed-1 round hits the memo in 509 of 633 calls, and 64
+# entries keep those hits.  A filtration-sweep round repeats none of its
+# 2,143 calls, because p_bk_polynomial keeps one q-analog per Weyl orbit
+# itself (_orbit_q_analog), and a character-tables round none of its 1,421,
+# whose Hilbert terms come in truncated and each once.  A larger memo only
+# holds memory: 256 entries raised cli-cold's peak RSS by 1.5 %, an
+# unbounded one by 3.9 %.
 _Q_ANALOGS_KEPT = 64
 
 
@@ -210,16 +212,38 @@ def p_bk_polynomial(datum, nu, lam):
     """Graded dimensions of the kernel filtration on the lam weight space
     of V_nu, as a polynomial in the filtration index.
 
-    Equals q^<w(lam)-lam, rho-check> * m^{w(lam)}_nu(q), with w the minimal
-    Weyl element making lam dominant.
+    Equals q^<lam_dom - lam, rho-check> * m^{lam_dom}_nu(q), with lam_dom
+    the dominant Weyl conjugate of lam (Brylinski, 1989).  Every weight of
+    one Weyl orbit shares the q-analog, so it comes from _orbit_q_analog.
+    For a lam of ints, lam_dom - lam is a sum of simple roots, so its
+    height is half the difference of the 2rho-check pairings; a lam with a
+    Fraction entry goes through height, which raises DomainError when the
+    difference is off the root lattice.
     """
     _require_dominant(datum, nu)
     _require_weight(datum, lam)
-    w, lam_dom = datum.dominant_conjugate(tuple(lam))
-    shift_vec = _vec_sub(lam_dom, tuple(lam))
-    shift = datum.height(shift_vec)
-    assert 2 * shift == datum.pair_2rho_check(shift_vec)
-    return lusztig_q_analog(datum, nu, lam_dom).shifted(shift)
+    lam = tuple(lam)
+    _, lam_dom = datum.dominant_conjugate(lam)
+    if all(type(c) is int for c in lam):
+        shift = (datum.pair_2rho_check(lam_dom)
+                 - datum.pair_2rho_check(lam)) // 2
+    else:
+        shift = datum.height(_vec_sub(lam_dom, lam))
+    return _orbit_q_analog(datum, tuple(nu), lam_dom).shifted(shift)
+
+
+# One q-analog per Weyl orbit of the weights of V_nu.  A filtration-sweep
+# module of dimension <= 120 has at most 60 dominant weights (A1-sc V(119)),
+# so 64 entries keep every repeat within a module: a seed-1 round asks for
+# 5,095 predictions and computes 2,143 q-analogs.
+_ORBITS_KEPT = 64
+
+
+@lru_cache(maxsize=_ORBITS_KEPT)
+def _orbit_q_analog(datum, nu, lam_dom):
+    """m^{lam_dom}_nu(q) for a checked nu and the dominant conjugate of a
+    checked weight; a QPoly is never changed, so callers share it."""
+    return lusztig_q_analog(datum, nu, lam_dom)
 
 
 def graded_mult_in_nilcone(datum, lam, truncation=None):
@@ -259,26 +283,23 @@ def dominant_weights_by_pairing(datum, bound):
     """All dominant lattice weights with <lam, rho-check> <= bound.
 
     Only weights in the root-lattice span qualify (others never meet the
-    coordinate ring), which also keeps the pairing integral.  Layer k of
-    the search adds k simple roots to 0, so it holds the weights of
-    height k, and the search stops after layer bound.
+    coordinate ring), which also keeps the pairing integral.  Every such
+    weight other than 0 covers another one in the dominance order on
+    dominant weights, and a cover differs by a positive root (J. R.
+    Stembridge, Adv. Math. 136, 1998), so the search steps from 0 by
+    positive roots through dominant weights of height <= bound only.
     """
     zero = tuple([0] * datum.weight_dim)
     out = [zero]
     seen = {zero}
-    frontier = [zero]
-    for _ in range(bound):
-        nxt = []
-        for lam in frontier:
-            for root in datum.simple_roots:
-                cand = tuple(a + b for a, b in zip(lam, root))
-                if cand in seen:
-                    continue
+    roots = [r.weight for r in datum.positive_roots()]
+    for lam in out:  # out is also the queue: the loop reaches what it appends
+        for root in roots:
+            cand = tuple(map(add, lam, root))
+            if cand not in seen and datum.pair_2rho_check(cand) <= 2 * bound \
+                    and datum.is_dominant(cand):
                 seen.add(cand)
-                nxt.append(cand)
-                if datum.is_dominant(cand):
-                    out.append(cand)
-        frontier = nxt
+                out.append(cand)
     return sorted(out, key=lambda w: (datum.pair_2rho_check(w), w))
 
 

@@ -64,6 +64,8 @@ class QPoly:
         res.coeffs = out
         return res
 
+    __radd__ = __add__
+
     def __neg__(self):
         res = QPoly()
         res.coeffs = {e: -c for e, c in self.coeffs.items()}
@@ -74,6 +76,12 @@ class QPoly:
         if other is None:
             return NotImplemented
         return self + (-other)
+
+    def __rsub__(self, other):
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         if isinstance(other, int):

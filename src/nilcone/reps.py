@@ -23,9 +23,9 @@ reduces the rows pushed down from the layer above and coordinate rows of e
 only at the indices that no kept row there leads.
 
 Modules are not memoised: each call of build_irrep builds one.  The layer
-rows of at most 12 modules are memoised with functools.lru_cache, each row
-set holding its module; a module object is never changed after it is
-built.
+rows of the last module asked for are memoised with functools.lru_cache,
+the row set holding its module; a module object is never changed after it
+is built.
 
 Operators are stored sparsely as {column: {row: int}}.
 """
@@ -34,14 +34,15 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import DomainError, ResourceError
-from .qpoly import QPoly, product_truncated, require_truncation
+from .qpoly import QPoly, require_truncation
 from .roots import _vec_add
 from .characters import (irreducible_character, weyl_dimension,
                          _character, _require_dominant, _require_weight)
 
 DEFAULT_DIM_CAP = 400
-# layer rows of matrix modules kept in memory, each row set holding its module
-_MODULES_KEPT = 12
+# layer rows of matrix modules kept in memory, each row set holding its
+# module; they are reused only across the weight spaces of one module
+_MODULES_KEPT = 1
 
 
 # -- sparse operator helpers -------------------------------------------------
@@ -524,7 +525,9 @@ class FiltrationProfile:
             if jump:
                 out[i] = jump
             prev = self.dims[i]
-        return QPoly(out)
+        res = QPoly()
+        res.coeffs = out
+        return res
 
     def __eq__(self, other):
         return (self.weight == other.weight and self.dims == other.dims
@@ -623,11 +626,17 @@ def verify_theorem_filtrations(datum, nu, lam, dim_cap=DEFAULT_DIM_CAP):
 
 
 def poincare_gr(datum, truncation):
-    """Series with exponents doubled: product of 1/(1 - t^(2 m_i))."""
+    """Series with exponents doubled: product of 1/(1 - t^(2 m_i)).
+
+    Dividing a series by 1 - t^s adds to each coefficient the one s below
+    it, already divided, so each factor is one running sum with stride s,
+    linear in the truncation.
+    """
     require_truncation(truncation, 0)
     _, exponents = centralizer_and_exponents(datum)
-    factors = []
+    coeffs = [1] + [0] * truncation
     for m in exponents:
         step = 2 * m
-        factors.append(QPoly({e: 1 for e in range(0, truncation + 1, step)}))
-    return product_truncated(factors, truncation)
+        for e in range(step, truncation + 1):
+            coeffs[e] += coeffs[e - step]
+    return QPoly(dict(enumerate(coeffs)))

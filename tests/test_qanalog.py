@@ -13,6 +13,7 @@ from nilcone.qanalog import (q_kostant, lusztig_q_analog, p_bk_polynomial,
                              graded_mult_in_nilcone, hilbert_series_nilcone,
                              hilbert_series_complete_intersection,
                              dominant_weights_by_pairing)
+from conftest import dominant_weights_with_dim_cap
 
 
 def test_qpoly_basics():
@@ -52,6 +53,21 @@ def test_foreign_operands_raise_type_error(operand):
         operand * p
     assert p != operand
     assert p + True == 2 and p * True == p
+
+
+def test_ints_on_the_left_add_and_subtract():
+    """An int on the left is a constant, so sum() works; a float or a
+    Fraction there is still a TypeError."""
+    p = QPoly({0: 2, 3: -1})
+    assert 0 + p == p and 1 + p == p + 1
+    assert 1 - p == QPoly({0: -1, 3: 1})
+    assert 2 - QPoly.one() == 1
+    assert sum([p, p]) == 2 * p
+    assert sum([p, -p]).is_zero()
+    for operand in (0.5, Fraction(1, 2)):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(TypeError):
+                op(operand, p)
 
 
 @pytest.mark.parametrize("step", [0, -1, 1.5, True])
@@ -321,6 +337,62 @@ def test_p_bk_orbit_shift_identity(a2, b2):
                 p_bk_polynomial(datum, nu, dom).shifted(shift)
 
 
+def _clear_prediction_memos():
+    _clear_q_memos()
+    qanalog._orbit_q_analog.cache_clear()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(supported_presets()), st.data())
+def test_orbit_memo_gives_every_weight_its_shifted_q_analog(preset, data):
+    """With every q memo cleared, then warm, over the modules of dimension
+    <= 20 in a drawn order: each weight's prediction is the q-analog of its
+    dominant conjugate shifted by the height of the difference."""
+    datum = build_datum(preset)
+    modules = data.draw(st.permutations(
+        dominant_weights_with_dim_cap(datum, 20)))
+    cases = [(nu, lam) for nu in modules
+             for lam in irreducible_character(datum, nu)]
+    _clear_prediction_memos()
+    cold = [p_bk_polynomial(datum, nu, lam) for nu, lam in cases]
+    assert [p_bk_polynomial(datum, nu, lam) for nu, lam in cases] == cold
+    for (nu, lam), value in zip(cases, cold):
+        _, dom = datum.dominant_conjugate(lam)
+        shift = datum.height(tuple(a - b for a, b in zip(dom, lam)))
+        assert value == lusztig_q_analog(datum, nu, dom).shifted(shift), \
+            (nu, lam)
+
+
+@pytest.mark.parametrize("preset,nu", [("A1-sc", (9,)), ("A2-sc", (2, 1)),
+                                       ("B2-sc", (1, 2)), ("G2", (1, 1))])
+def test_one_q_analog_per_dominant_weight_of_a_module(preset, nu,
+                                                      monkeypatch):
+    """Filtering a module and predicting every weight space asks for one
+    q-analog per Weyl orbit of its weights."""
+    datum = build_datum(preset)
+    asked = []
+
+    def counted(datum, lam, mu):
+        asked.append(mu)
+        return lusztig_q_analog(datum, lam, mu)
+    monkeypatch.setattr(qanalog, "lusztig_q_analog", counted)
+    qanalog._orbit_q_analog.cache_clear()
+    rep = reps.build_irrep(datum, nu)
+    for lam, profile in reps.bk_profile_all_weights(rep).items():
+        assert profile.graded_poly() == p_bk_polynomial(datum, nu, lam)
+    assert sorted(asked) == sorted(w for w in rep.weight_spaces
+                                   if datum.is_dominant(w))
+
+
+def test_p_bk_of_fraction_weights(a1):
+    """A Fraction weight still goes through height: off the root lattice
+    from its dominant conjugate it is a DomainError, otherwise 0."""
+    with pytest.raises(DomainError):
+        p_bk_polynomial(a1, (1,), (Fraction(-1, 2),))
+    assert p_bk_polynomial(a1, (1,), (Fraction(1, 2),)).is_zero()
+    assert p_bk_polynomial(a1, (3,), (Fraction(-3),)) == QPoly({3: 1})
+
+
 def test_graded_mult_examples(a1_adj, a2_adj):
     assert graded_mult_in_nilcone(a1_adj, (1,)) == QPoly({1: 1})
     assert graded_mult_in_nilcone(a1_adj, (0,)) == QPoly.one()
@@ -355,9 +427,12 @@ def test_dominant_enumeration_bound(a2_adj):
 def test_dominant_enumeration_matches_height_filter():
     """The layer-bounded search returns, in order, the list of a search
     that solves every candidate's height."""
+    # the bounds T * height(theta) of Hilbert series through q^T
+    hilbert = {"A1-adj": 40 * 1, "A2-adj": 20 * 2, "A2-sc": 16 * 2,
+               "B2-sc": 16 * 3, "G2": 10 * 5}
     for preset in supported_presets():
         datum = build_datum(preset)
-        for bound in (0, 1, 4, 7):
+        for bound in (0, 1, 4, 7, hilbert.get(preset, 7)):
             seen, frontier, expected = set(), [(0,) * datum.weight_dim], []
             while frontier:
                 cand = frontier.pop()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nilcone.errors import DomainError, ResourceError
-from nilcone.qpoly import QPoly
+from nilcone.qpoly import QPoly, geometric_series, product_truncated
 from nilcone.roots import build_datum, supported_presets
 from nilcone.characters import irreducible_character, weyl_dimension
 from nilcone.reps import (build_irrep, principal_e, centralizer_and_exponents,
@@ -168,6 +168,24 @@ def test_poincare_gr(a1, a2):
     assert poincare_gr(a1, 0) == QPoly.one()
     # 1/((1-t^2)(1-t^4)) through t^6
     assert poincare_gr(a2, 6) == QPoly({0: 1, 2: 1, 4: 2, 6: 2})
+
+
+@pytest.mark.parametrize("preset", supported_presets())
+def test_poincare_gr_is_the_product_of_geometric_series(preset):
+    datum = build_datum(preset)
+    _, exponents = centralizer_and_exponents(datum)
+    for t in (0, 1, 7, 30):
+        product = product_truncated(
+            [geometric_series(2 * m, t) for m in exponents], t)
+        assert poincare_gr(datum, t) == product, t
+
+
+def test_poincare_gr_far_out_is_the_closed_form(g2):
+    """1/((1 - t^2)(1 - t^10)) has one term for each solution of
+    2a + 10b = n: n // 10 + 1 of them for even n, none for odd n."""
+    assert centralizer_and_exponents(g2)[1] == [1, 5]
+    assert poincare_gr(g2, 100000) == QPoly(
+        {n: n // 10 + 1 for n in range(0, 100001, 2)})
 
 
 def test_principal_e_has_integer_entries(b2):
@@ -500,9 +518,10 @@ _MEMOS = {
     "nilcone.characters._restrict": None,
     "nilcone.homspaces._kostant_pair": 2048,
     "nilcone.homspaces._strings": None,
+    "nilcone.qanalog._orbit_q_analog": 64,
     "nilcone.qanalog._q_analog": 64,
     "nilcone.qanalog._q_kostant": None,
-    "nilcone.reps._layer_rows": 12,
+    "nilcone.reps._layer_rows": 1,
     "nilcone.reps.centralizer_and_exponents": None,
     "nilcone.roots.build_datum": None,
     "nilcone.sl2._convolve_recursive": None,
