@@ -14,23 +14,7 @@ from functools import lru_cache
 
 from . import cache
 from .errors import DomainError
-from .roots import _dot, _vec_add, _vec_sub
-
-
-def _require_weight(datum, weight):
-    """A weight is weight_dim exact entries: ints (not bools), or Fractions
-    for a vector off the lattice, where every multiplicity and q-analog is 0.
-    An int entry is accepted first, so only another entry loads fractions;
-    a caller that passes a Fraction has loaded it already."""
-    if len(weight) != datum.weight_dim or not all(
-            type(c) is int or _is_fraction(c) for c in weight):
-        raise DomainError("weight %r is not %d exact coordinates for %s"
-                          % (weight, datum.weight_dim, datum.name))
-
-
-def _is_fraction(c):
-    from fractions import Fraction
-    return isinstance(c, Fraction)
+from .roots import _dot, _vec_add, _vec_sub, _require_weight
 
 
 def _require_dominant(datum, weight):

@@ -166,7 +166,9 @@ def _q_analog(datum, lam, coords, top):
     character-tables round), so a term is dropped at its first negative
     coordinate, before the others are formed.  Every term stops at q^top,
     so the terms add into one list of the coefficients of q^0..q^top, and
-    the QPoly is built once, at the end.
+    the QPoly is built once, at the end, from the nonzero entries alone:
+    the list holds ints only, so QPoly's per-term checks are skipped, as
+    in QPoly.shifted.
     """
     last = len(datum.positive_roots()) - 1
     out = [0] * (top + 1)
@@ -184,7 +186,9 @@ def _q_analog(datum, lam, coords, top):
                 end = low + len(coeffs)
                 out[low:end] = map(add if w.sign > 0 else sub,
                                    out[low:end], coeffs)
-    return QPoly(dict(enumerate(out)))
+    res = QPoly()
+    res.coeffs = {e: c for e, c in enumerate(out) if c}
+    return res
 
 
 def _stored_q_analog(height, stored):
@@ -218,11 +222,9 @@ def p_bk_polynomial(datum, nu, lam):
     For a lam of ints, lam_dom - lam is a sum of simple roots, so its
     height is half the difference of the 2rho-check pairings; a lam with a
     Fraction entry goes through height, which raises DomainError when the
-    difference is off the root lattice.
+    difference is off the root lattice.  dominant_conjugate checks lam.
     """
     _require_dominant(datum, nu)
-    _require_weight(datum, lam)
-    lam = tuple(lam)
     _, lam_dom = datum.dominant_conjugate(lam)
     if all(type(c) is int for c in lam):
         shift = (datum.pair_2rho_check(lam_dom)

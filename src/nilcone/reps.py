@@ -18,7 +18,8 @@ Ranks, the centralizer kernel and the kernel filtration rows go through one
 fraction-free integer elimination, :func:`_eliminate`.  Kernel filtrations
 of the principal nilpotent e come from one top-down pass over the
 principal-degree layers (:func:`_layer_rows`), whose labelled rows
-bk_filtration restricts to a weight space, one rank per label.  Each layer
+bk_filtration restricts to a weight space, one rank per label from the top
+label down, until the rank is the dimension of the space.  Each layer
 reduces the rows pushed down from the layer above and coordinate rows of e
 only at the indices that no kept row there leads.
 
@@ -31,7 +32,9 @@ Operators are stored sparsely as {column: {row: int}}.
 """
 
 from functools import lru_cache
+from itertools import groupby
 from math import gcd
+from operator import itemgetter
 
 from .errors import DomainError, ResourceError
 from .qpoly import QPoly, require_truncation
@@ -508,28 +511,30 @@ def centralizer_and_exponents(datum):
 # -- the kernel filtration -----------------------------------------------------
 
 class FiltrationProfile:
-    """Dimensions of V(weight) cut by kernels of the powers of e."""
+    """Dimensions of V(weight) cut by kernels of the powers of e.
 
-    __slots__ = ("weight", "dims", "total")
+    dims maps each filtration index to a dimension, nondecreasing.  jumps
+    maps the indices where dims steps up to the size of the step (from 0
+    below index 0); bk_filtration knows them as it fills dims, so
+    graded_poly costs one term per jump and never walks dims.
+    """
 
-    def __init__(self, weight, dims, total):
+    __slots__ = ("weight", "dims", "total", "jumps")
+
+    def __init__(self, weight, dims, total, jumps):
         self.weight = weight
         self.dims = dims  # filtration index -> dim, nondecreasing
         self.total = total
+        self.jumps = jumps  # filtration index -> dims[i] - dims[i - 1] > 0
 
     def graded_poly(self):
-        out = {}
-        prev = 0
-        for i in sorted(self.dims):
-            jump = self.dims[i] - prev
-            if jump:
-                out[i] = jump
-            prev = self.dims[i]
         res = QPoly()
-        res.coeffs = out
+        res.coeffs = dict(self.jumps)
         return res
 
     def __eq__(self, other):
+        if not isinstance(other, FiltrationProfile):
+            return NotImplemented
         return (self.weight == other.weight and self.dims == other.dims
                 and self.total == other.total)
 
@@ -583,29 +588,43 @@ def bk_filtration(rep, lam):
     where that is all of V_lam.  With the rows of lam's layer
     (_layer_rows) restricted to V_lam, dims[i] is dim V_lam minus the rank
     of the rows labelled >= i + 1.  That rank changes only at the labels
-    present, so it is computed once per label and filled in between.
+    present, so it is computed once per label, from the top label down,
+    and filled in between.  The ranks stop at the first label whose rank
+    is dim V_lam: every lower label's rows include those rows, so their
+    rank is dim V_lam too and dims is 0 below that label.  The profile
+    keeps the jumps of dims, which are the steps between those ranks.
     """
     _require_weight(rep.datum, lam)
     lam = tuple(lam)
     cols = rep.weight_spaces.get(lam, [])
     m = len(cols)
     if m == 0:
-        return FiltrationProfile(lam, {}, 0)
+        return FiltrationProfile(lam, {}, 0, {})
     layer = _layer_rows(rep).get(rep.datum.pair_2rho_check(lam), ())
-    rows = []  # (label, row restricted to V_lam)
-    for label, row in layer:
-        part = {c: row[c] for c in cols if c in row}
-        if part:
-            rows.append((label, part))
+    ranks = []  # (label, rank of the rows labelled >= label), top down
+    above = []
+    for label, group in groupby(layer, itemgetter(0)):  # labels decreasing
+        parts = [part for part in ({c: row[c] for c in cols if c in row}
+                                   for _, row in group) if part]
+        if parts:
+            above += parts
+            rank = int_columns_rank(above)
+            ranks.append((label, rank))
+            if rank == m:
+                break
+    # dims is m - rank on [start, label), one run per label, bottom up
     dims = {}
-    start = 0
-    for label in sorted({label for label, _ in rows}):
-        rank = int_columns_rank([row for lb, row in rows if lb >= label])
-        for i in range(start, label):
-            dims[i] = m - rank
-        start = label
+    jumps = {}
+    start = prev = 0
+    for label, rank in reversed(ranks):
+        value = m - rank
+        if value > prev:
+            jumps[start] = value - prev
+        dims.update(dict.fromkeys(range(start, label), value))
+        start, prev = label, value
+    jumps[start] = m - prev
     dims[start] = m
-    return FiltrationProfile(lam, dims, m)
+    return FiltrationProfile(lam, dims, m, jumps)
 
 
 def bk_profile_all_weights(rep):

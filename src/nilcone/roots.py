@@ -60,19 +60,40 @@ def _identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def _require_weight(datum, weight):
+    """A weight is weight_dim exact entries: ints (not bools), or Fractions
+    for a vector off the lattice, where every multiplicity and q-analog is 0.
+    An int entry is accepted first, so only another entry loads fractions;
+    a caller that passes a Fraction has loaded it already."""
+    if len(weight) != datum.weight_dim or not all(
+            type(c) is int or _is_fraction(c) for c in weight):
+        raise DomainError("weight %r is not %d exact coordinates for %s"
+                          % (weight, datum.weight_dim, datum.name))
+
+
+def _is_fraction(c):
+    from fractions import Fraction
+    return isinstance(c, Fraction)
+
+
 class WeylElement:
-    """A Weyl group element: a reduced word, its weight-lattice matrix, the
-    integer rho shift w(rho) - rho of the dot action, and the root
-    coordinates of w - 1 and of the rho shift, so that w(lam) + w(rho) - rho
-    - lam has root coordinates minus_one_coords . lam + rho_shift_coords."""
+    """A Weyl group element: a reduced word, its weight-lattice matrix, its
+    pairing rows, the integer rho shift w(rho) - rho of the dot action, and
+    the root coordinates of w - 1 and of the rho shift, so that w(lam) +
+    w(rho) - rho - lam has root coordinates minus_one_coords . lam +
+    rho_shift_coords.  Row i of pairing_rows is alpha_i-check after w:
+    <w(lam), alpha_i-check> = pairing_rows[i] . lam, so w(lam) is dominant
+    exactly when every row pairs lam to >= 0, and w(lam) need not be
+    formed to test it."""
 
-    __slots__ = ("word", "matrix", "rho_shift", "minus_one_coords",
-                 "rho_shift_coords")
+    __slots__ = ("word", "matrix", "pairing_rows", "rho_shift",
+                 "minus_one_coords", "rho_shift_coords")
 
-    def __init__(self, word, matrix, rho_shift, minus_one_coords,
-                 rho_shift_coords):
+    def __init__(self, word, matrix, pairing_rows, rho_shift,
+                 minus_one_coords, rho_shift_coords):
         self.word = word
         self.matrix = matrix  # action on weights
+        self.pairing_rows = pairing_rows
         self.rho_shift = rho_shift
         # row i: the alpha_i coordinate of w(e_j) - e_j, for each j
         self.minus_one_coords = minus_one_coords
@@ -355,7 +376,11 @@ class RootDatum:
             # w(x) - x lies in the root lattice for every weight x
             columns = [self.root_coordinates(_vec_sub(column, unit))
                        for column, unit in zip(zip(*matrix), _identity(n))]
-            return WeylElement(word, matrix, shift, tuple(zip(*columns)),
+            # <w(x), coroot> = (transpose(matrix) coroot) . x
+            pairing_rows = tuple(_mat_vec(tuple(zip(*matrix)), coroot)
+                                 for coroot in self.simple_coroots)
+            return WeylElement(word, matrix, pairing_rows, shift,
+                               tuple(zip(*columns)),
                                self.root_coordinates(shift))
         ident = element((), _identity(n))
         elements = {ident.matrix: ident}
@@ -378,13 +403,25 @@ class RootDatum:
         return self.weyl_elements()[-1]
 
     def dominant_conjugate(self, weight):
-        """Minimal-length w with w(weight) dominant, and that dominant weight."""
+        """The first w of weyl_elements(), in (length, word) order, with
+        w(weight) dominant, and that dominant weight; DomainError unless
+        weight is weight_dim exact entries.
+
+        Each element is tested on its pairing rows, rank-many dot products,
+        and only the one returned applies its matrix.  A weight of the
+        wrong length or with an inexact entry would pair by truncated or
+        wrong dot products, so it is refused first.
+        """
+        _require_weight(self, weight)
         weight = tuple(weight)
+        # the closed dominant chamber meets every Weyl orbit (Humphreys,
+        # GTM 9, §10.3), so some element returns
         for w in self.weyl_elements():
-            image = w.apply(weight)
-            if self.is_dominant(image):
-                return w, image
-        raise DomainError("no dominant conjugate found; invalid weight")
+            for row in w.pairing_rows:
+                if _dot(row, weight) < 0:
+                    break
+            else:
+                return w, w.apply(weight)
 
     # -- coordinate conversions (the single place bases meet) -------------
 

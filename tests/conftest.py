@@ -1,6 +1,8 @@
+from itertools import combinations
+
 import pytest
 
-from nilcone.roots import build_datum
+from nilcone.roots import build_datum, supported_presets
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +38,21 @@ def g2():
 @pytest.fixture(scope="session")
 def a3():
     return build_datum("A3-sc")
+
+
+# every preset with each subset of its simple indices: the full subset
+# stands for the preset, the others for its proper Levis
+DATA_AND_LEVIS = [
+    pytest.param(preset, subset, id="%s:%s" % (
+        preset, "".join(map(str, subset)) or "torus"))
+    for preset in supported_presets()
+    for size in range(build_datum(preset).rank + 1)
+    for subset in combinations(range(build_datum(preset).rank), size)]
+
+
+def datum_or_levi(preset, subset):
+    datum = build_datum(preset)
+    return datum if len(subset) == datum.rank else datum.levi(subset)
 
 
 def dim_from_pairing(datum, coords):

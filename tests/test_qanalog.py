@@ -13,7 +13,7 @@ from nilcone.qanalog import (q_kostant, lusztig_q_analog, p_bk_polynomial,
                              graded_mult_in_nilcone, hilbert_series_nilcone,
                              hilbert_series_complete_intersection,
                              dominant_weights_by_pairing)
-from conftest import dominant_weights_with_dim_cap
+from conftest import DATA_AND_LEVIS, datum_or_levi, dominant_weights_with_dim_cap
 
 
 def test_qpoly_basics():
@@ -391,6 +391,28 @@ def test_p_bk_of_fraction_weights(a1):
         p_bk_polynomial(a1, (1,), (Fraction(-1, 2),))
     assert p_bk_polynomial(a1, (1,), (Fraction(1, 2),)).is_zero()
     assert p_bk_polynomial(a1, (3,), (Fraction(-3),)) == QPoly({3: 1})
+
+
+@pytest.mark.parametrize("preset,subset", DATA_AND_LEVIS)
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(entries=st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+       drop=st.lists(st.integers(0, 3), min_size=3, max_size=3),
+       pick=st.integers(0, 10 ** 6))
+def test_q_analogs_store_no_zero_coefficient(preset, subset, entries, drop,
+                                             pick):
+    """_q_analog sets its coefficients from its list's nonzero entries, so
+    every result keeps QPoly's invariant: int terms, no zero stored.  mu is
+    a Weyl image of lam less a nonnegative simple-root combination."""
+    datum = datum_or_levi(preset, subset)
+    _, lam = datum.dominant_conjugate(tuple(entries[:datum.weight_dim]))
+    below = tuple(a - sum(c * root[k] for c, root in
+                          zip(drop, datum.simple_roots))
+                  for k, a in enumerate(lam))
+    weyl = datum.weyl_elements()
+    mu = weyl[pick % len(weyl)].apply(below)
+    result = lusztig_q_analog(datum, lam, mu)
+    assert all(type(e) is int and type(c) is int and c
+               for e, c in result.coeffs.items()), (lam, mu, result.coeffs)
 
 
 def test_graded_mult_examples(a1_adj, a2_adj):

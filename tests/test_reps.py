@@ -128,6 +128,13 @@ def test_bk_filtration_sl2_adjoint(a1_adj):
     assert bk_filtration(rep, (5,)).total == 0
 
 
+def test_profiles_compare_only_with_profiles(a2):
+    profile = bk_filtration(build_irrep(a2, (1, 1)), (0, 0))
+    assert profile.__eq__(5) is NotImplemented
+    assert profile != 5 and not profile == 5
+    assert profile == bk_filtration(build_irrep(a2, (1, 1)), (0, 0))
+
+
 def test_bk_gr_total_dimension(a2):
     rep = build_irrep(a2, (2, 2))
     profiles = bk_profile_all_weights(rep)
@@ -672,6 +679,9 @@ def test_bk_filtration_matches_naive_walk(preset):
                 (preset, nu, lam)
             assert list(profile.dims) == sorted(profile.dims)
             assert profile.total == len(rep.weight_spaces[lam])
+            steps = {i: d - profile.dims.get(i - 1, 0)
+                     for i, d in profile.dims.items()}
+            assert profile.graded_poly() == QPoly(steps), (preset, nu, lam)
 
 
 @pytest.mark.parametrize("preset,pairing", [
@@ -698,6 +708,39 @@ def test_layer_rows_complete_only_the_unled_indices(preset, pairing,
         pushed = [row for _, row in above if op_apply(e_rows, row)]
         unled = len(rep.layers.get(d + 2, ())) - len(above)
         assert count == len(pushed) + unled, d
+
+
+def test_ranks_stop_at_full_rank(monkeypatch):
+    """Each weight space ranks its rows from the top label down and stops
+    at the first label whose rank is its dimension: every lower label's
+    rows include those rows."""
+    datum = build_datum("B2-sc")
+    rep = build_irrep(datum, datum.weight_from_pairing((2, 3)))
+    rows = _layer_rows(rep)
+    handed = []
+
+    def counted(columns):
+        rank = int_columns_rank(columns)
+        handed.append((len(columns), rank))
+        return rank
+    monkeypatch.setattr(reps, "int_columns_rank", counted)
+    skipped = 0
+    for lam, cols in rep.weight_spaces.items():
+        restricted = [(label, {c: row[c] for c in cols if c in row})
+                      for label, row in rows[datum.pair_2rho_check(lam)]]
+        labels = sorted({label for label, part in restricted if part},
+                        reverse=True)
+        expected = []
+        for label in labels:
+            above = [part for lb, part in restricted if part and lb >= label]
+            expected.append((len(above), int_columns_rank(above)))
+            if expected[-1][1] == len(cols):
+                break
+        skipped += len(labels) - len(expected)
+        handed.clear()
+        bk_filtration(rep, lam)
+        assert handed == expected, lam
+    assert skipped > 0
 
 
 def test_layer_rows_are_reduced_by_label(a2):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from nilcone.errors import ConfigurationError, DomainError
 from nilcone.roots import build_datum, supported_presets
+from conftest import DATA_AND_LEVIS, datum_or_levi
 
 EXPECTED = {
     # preset -> (rank, number of positive roots, Weyl order)
@@ -90,6 +91,31 @@ def test_dominant_conjugate_idempotent(b2):
         w, dom = b2.dominant_conjugate(weight)
         w2, dom2 = b2.dominant_conjugate(dom)
         assert w2.length == 0 and dom2 == dom
+
+
+def test_dominant_conjugate_rejects_inexact_weights(a2):
+    """The pairing rows would pair a short weight by truncated dot
+    products, and a bool or a str is no exact coordinate."""
+    for weight in ((1,), (True, -1), "ab"):
+        with pytest.raises(DomainError):
+            a2.dominant_conjugate(weight)
+
+
+@pytest.mark.parametrize("preset,subset", DATA_AND_LEVIS)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(entries=st.lists(st.one_of(
+    st.integers(-8, 8),
+    st.builds(Fraction, st.integers(-16, 16), st.integers(1, 4))),
+    min_size=3, max_size=3))
+def test_dominant_conjugate_is_the_first_dominant_image(preset, subset,
+                                                        entries):
+    datum = datum_or_levi(preset, subset)
+    weight = tuple(entries[:datum.weight_dim])
+    first = next(w for w in datum.weyl_elements()
+                 if datum.is_dominant(w.apply(weight)))
+    w, image = datum.dominant_conjugate(weight)
+    assert w is first
+    assert image == first.apply(weight)
 
 
 @pytest.mark.parametrize("preset", sorted(EXPECTED))
