@@ -14,19 +14,27 @@ from functools import lru_cache
 
 from . import cache
 from .errors import DomainError
-from .roots import _dot, _vec_add, _vec_sub, _require_weight
+from .roots import _dot, _vec_add, _vec_sub, _vec_scale, _require_weight
 
 
 def _require_dominant(datum, weight):
     """DomainError unless weight is a dominant weight of ints (not bools).
     Every hot path runs this check, so _require_weight, which gives a
     malformed weight its own message, runs only on failure."""
-    if len(weight) != datum.weight_dim or not all(
-            type(c) is int for c in weight) \
-            or not datum.is_dominant(weight):
-        _require_weight(datum, weight)
-        raise DomainError("weight %r is not a dominant lattice weight for %s"
-                          % (weight, datum.name))
+    try:
+        ok = len(weight) == datum.weight_dim
+    except TypeError:  # no length: an int, None, ...
+        ok = False
+    if ok:
+        for c in weight:
+            if type(c) is not int:
+                break
+        else:
+            if datum.is_dominant(weight):
+                return
+    _require_weight(datum, weight)
+    raise DomainError("weight %r is not a dominant lattice weight for %s"
+                      % (weight, datum.name))
 
 
 def weyl_dimension(datum, lam):
@@ -102,7 +110,7 @@ def _dominant_mults(datum, lam):
         total = sum(_tail(datum, mults, tails, _vec_add(mu, root.weight), root)
                     for root in datum.positive_roots())
         # denominator |lam+rho|^2 - |mu+rho|^2 = B(lam+mu+2rho, lam-mu)
-        lam_mu_2rho = tuple(a + b + r for a, b, r in zip(lam, mu, datum.two_rho))
+        lam_mu_2rho = _vec_add(_vec_add(lam, mu), datum.two_rho)
         denom = datum.inner_product_with_root_vector(
             lam_mu_2rho, datum.root_coordinates(_vec_sub(lam, mu)))
         value, remainder = divmod(2 * total, denom)
@@ -210,7 +218,7 @@ def _dot_dominant(datum, weight):
             if c == 0:
                 return None
             if c < 0:
-                weight = tuple(a - c * b for a, b in zip(weight, root))
+                weight = _vec_sub(weight, _vec_scale(c, root))
                 sign = -sign
                 break
         else:
@@ -245,7 +253,12 @@ def decompose_character(datum, char):
 
 def tensor_decompose(datum, lam, mu):
     """Multiplicities of each V_nu inside V_lam tensor V_mu."""
-    return tensor_decompose_on(datum, {tuple(lam): 1}, {tuple(mu): 1})
+    try:
+        entries_a, entries_b = {tuple(lam): 1}, {tuple(mu): 1}
+    except TypeError:  # not iterable, or entries that do not hash
+        raise DomainError("tensor_decompose takes two weights, got %r and %r"
+                          % (lam, mu)) from None
+    return tensor_decompose_on(datum, entries_a, entries_b)
 
 
 def dual_weight(datum, lam):

@@ -40,6 +40,11 @@ from .reps import (check_dim_cap, centralizer_and_exponents, principal_e,
 def free_object(summands):
     """Normalize a multiset of (dominant weight, internal degree) pairs;
     every degree must be an int (not a bool)."""
+    try:
+        summands = iter(summands)
+    except TypeError:
+        raise DomainError("a free object must be an iterable of (weight, "
+                          "degree) pairs, got %r" % (summands,)) from None
     out = []
     for summand in summands:
         try:
@@ -61,13 +66,13 @@ def structure_sheaf(datum):
 
 def mixed_shift(obj, n):
     """Internal shift by n, paired with the cohomological shift [n]."""
-    return free_object([(w, i + n) for w, i in obj])
+    return free_object([(w, i + n) for w, i in free_object(obj)])
 
 
 def levi_pullback(datum, subset, obj):
     """Restrict every summand to the Levi, keeping internal degrees."""
     out = []
-    for w, i in obj:
+    for w, i in free_object(obj):
         for nu, m in restrict_to_levi(datum, subset, w).items():
             out.extend([(nu, i)] * m)
     return free_object(out)

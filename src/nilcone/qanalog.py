@@ -86,7 +86,7 @@ def _q_kostant(datum, coords, idx, top):
     root = datum.positive_roots()[idx]
     below = _vec_sub(coords, root.root_coords)
     height = sum(below)
-    if all(c >= 0 for c in below) and -(-height // root.height) <= top:
+    if min(below) >= 0 and -(-height // root.height) <= top:
         below = _times_q(
             _q_kostant(datum, below, idx, min(top, height)) if height
             else _ONE, top)
@@ -226,11 +226,13 @@ def p_bk_polynomial(datum, nu, lam):
     """
     _require_dominant(datum, nu)
     _, lam_dom = datum.dominant_conjugate(lam)
-    if all(type(c) is int for c in lam):
+    for c in lam:
+        if type(c) is not int:
+            shift = datum.height(_vec_sub(lam_dom, lam))
+            break
+    else:
         shift = (datum.pair_2rho_check(lam_dom)
                  - datum.pair_2rho_check(lam)) // 2
-    else:
-        shift = datum.height(_vec_sub(lam_dom, lam))
     return _orbit_q_analog(datum, tuple(nu), lam_dom).shifted(shift)
 
 

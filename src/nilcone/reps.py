@@ -639,7 +639,7 @@ def verify_theorem_filtrations(datum, nu, lam, dim_cap=DEFAULT_DIM_CAP):
     """
     from .qanalog import p_bk_polynomial
     rep = build_irrep(datum, nu, dim_cap)
-    actual = bk_filtration(rep, tuple(lam)).graded_poly()
+    actual = bk_filtration(rep, lam).graded_poly()
     predicted = p_bk_polynomial(datum, nu, lam)
     return actual == predicted, actual, predicted
 

@@ -3,7 +3,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import nilcone
+from nilcone import build_datum, build_irrep, free_object
+from nilcone.errors import DomainError
 
 
 def test_every_export_resolves():
@@ -63,3 +67,48 @@ def test_import_loads_only_what_a_call_uses():
     cli = {name for name in _modules_added_by("import nilcone.cli")
            if name != "nilcone" and not name.startswith("nilcone.")}
     assert cli <= {"argparse", "gettext"}, sorted(cli)
+
+
+_A2 = build_datum("A2-sc")
+_OBJECT = free_object([((1, 0), 0)])
+# one argument of each call is `bad`, where a weight or a free object goes
+NO_LENGTH = {
+    "dominant_conjugate": lambda bad: _A2.dominant_conjugate(bad),
+    "weyl_dimension": lambda bad: nilcone.weyl_dimension(_A2, bad),
+    "lusztig_q_analog": lambda bad: nilcone.lusztig_q_analog(_A2, (1, 1), bad),
+    "p_bk_polynomial": lambda bad: nilcone.p_bk_polynomial(_A2, (1, 1), bad),
+    "build_irrep": lambda bad: build_irrep(_A2, bad),
+    "bk_filtration": lambda bad: nilcone.bk_filtration(
+        build_irrep(_A2, (1, 1)), bad),
+    "irreducible_character":
+        lambda bad: nilcone.irreducible_character(_A2, bad),
+    "weight_multiplicity":
+        lambda bad: nilcone.weight_multiplicity(_A2, (1, 1), bad),
+    "dual_weight": lambda bad: nilcone.dual_weight(_A2, bad),
+    "q_kostant": lambda bad: nilcone.q_kostant(_A2, bad),
+    "graded_mult_in_nilcone":
+        lambda bad: nilcone.graded_mult_in_nilcone(_A2, bad),
+    "restrict_to_levi": lambda bad: nilcone.restrict_to_levi(_A2, (0,), bad),
+    "adjunction_check": lambda bad: nilcone.adjunction_check(_A2, (1, 0), bad),
+    "orlov_axiom_check":
+        lambda bad: nilcone.orlov_axiom_check(_A2, bad, (1, 0), 0, 0),
+    "levi_degree_shift":
+        lambda bad: nilcone.levi_degree_shift(_A2, (0,), bad),
+    "free_object": lambda bad: free_object(bad),
+    "tensor_decompose": lambda bad: nilcone.tensor_decompose(_A2, (1, 0), bad),
+    "mixed_shift": lambda bad: nilcone.mixed_shift(bad, 1),
+    "levi_pullback": lambda bad: nilcone.levi_pullback(_A2, (0,), bad),
+    "hom_profile_kostant":
+        lambda bad: nilcone.hom_profile_kostant(_A2, bad, _OBJECT),
+    "verify_theorem_filtrations":
+        lambda bad: nilcone.verify_theorem_filtrations(_A2, (1, 1), bad),
+}
+
+
+@pytest.mark.parametrize("bad", [5, None], ids=["int", "None"])
+@pytest.mark.parametrize("name", sorted(NO_LENGTH))
+def test_argument_without_a_length_is_a_domain_error(name, bad):
+    """A weight or free object that is no sequence is refused as one, not
+    by a TypeError from len(), tuple() or iteration."""
+    with pytest.raises(DomainError):
+        NO_LENGTH[name](bad)

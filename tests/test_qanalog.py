@@ -435,6 +435,17 @@ def test_hilbert_series_dual_route_a2(a2_adj):
     assert series == product
 
 
+@pytest.mark.parametrize("preset", supported_presets())
+def test_hilbert_series_dual_route_every_preset(preset):
+    """The sum over graded multiplicities equals the complete-intersection
+    product through q^20, on the simply-connected presets too."""
+    datum = build_datum(preset)
+    _, exponents = reps.centralizer_and_exponents(datum)
+    dim_g = datum.rank + 2 * len(datum.positive_roots())
+    assert hilbert_series_nilcone(datum, 20) == \
+        hilbert_series_complete_intersection(exponents, dim_g, 20)
+
+
 def test_hilbert_constant_term(a2_adj):
     assert hilbert_series_nilcone(a2_adj, 1).coeff(0) == 1
 

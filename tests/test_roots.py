@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 from itertools import combinations
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilcone.errors import ConfigurationError, DomainError
-from nilcone.roots import build_datum, supported_presets
+from nilcone.roots import (_dot, _mat_vec, _vec_add, _vec_scale, _vec_sub,
+                           build_datum, supported_presets)
 from conftest import DATA_AND_LEVIS, datum_or_levi
 
 EXPECTED = {
@@ -262,3 +264,55 @@ def test_inner_product_with_root_vector_is_int(preset):
             assert d.inner_product_with_root_vector(
                 root.weight, root.root_coords) == 2 * root.length_sq_half
             assert d.pair(root.weight, root.coroot) == 2
+
+
+# each of these truncated to the shorter vector on A2-sc: True, 2, (-1,),
+# 3 and (-1, 1)
+TRUNCATED = {
+    "is_dominant": lambda d: d.is_dominant((1,)),
+    "pair_2rho_check": lambda d: d.pair_2rho_check((1,)),
+    "reflect": lambda d: d.reflect((1,), 0),
+    "pair": lambda d: d.pair((1, 2, 3), (1, 1)),
+    "apply": lambda d: d.weyl_elements()[1].apply((1,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRUNCATED))
+def test_wrong_length_vectors_are_refused(a2, name):
+    with pytest.raises(DomainError):
+        TRUNCATED[name](a2)
+
+
+_ENTRIES = st.one_of(st.integers(-50, 50),
+                     st.builds(Fraction, st.integers(-50, 50),
+                               st.integers(1, 6)))
+
+
+def _vectors(n):
+    return st.lists(_ENTRIES, min_size=n, max_size=n).map(tuple)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n=st.integers(1, 4), other=st.integers(1, 4))
+def test_small_vector_kernels_match_their_references(data, n, other):
+    """The unpacked lengths 1-3 and the generic length 4 equal the map/zip
+    forms on ints and Fractions, a matrix that is not square included; a
+    pair of vectors of two lengths is refused, never truncated."""
+    u, v = data.draw(_vectors(n)), data.draw(_vectors(n))
+    c = data.draw(_ENTRIES)
+    square = tuple(data.draw(_vectors(n)) for _ in range(n))
+    wide = tuple(data.draw(_vectors(n)) for _ in range(other))
+    assert _dot(u, v) == sum(map(operator.mul, u, v))
+    assert _vec_add(u, v) == tuple(map(operator.add, u, v))
+    assert _vec_sub(u, v) == tuple(map(operator.sub, u, v))
+    assert _vec_scale(c, u) == tuple(c * a for a in u)
+    for m in (square, wide):
+        assert _mat_vec(m, v) == tuple(sum(a * b for a, b in zip(row, v))
+                                       for row in m)
+    if other != n:
+        w = data.draw(_vectors(other))
+        for call in (lambda: _dot(u, w), lambda: _dot(w, u),
+                     lambda: _vec_add(u, w), lambda: _vec_sub(u, w),
+                     lambda: _mat_vec(square, w), lambda: _mat_vec(wide, w)):
+            with pytest.raises(DomainError):
+                call()
