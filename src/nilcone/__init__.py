@@ -6,8 +6,8 @@ from .errors import ConfigurationError, DomainError, ResourceError
 from .qpoly import QPoly
 from .roots import build_datum, supported_presets, RootDatum, WeylElement
 from .characters import (weight_multiplicity, irreducible_character,
-                         tensor_decompose, restrict_to_levi,
-                         levi_degree_shift, weyl_dimension, dual_weight)
+                         tensor_decompose, restrict_to_levi, weyl_dimension,
+                         dual_weight)
 from .qanalog import (q_kostant, lusztig_q_analog, p_bk_polynomial,
                       graded_mult_in_nilcone, hilbert_series_nilcone)
 from .reps import (build_irrep, principal_e, centralizer_and_exponents,
@@ -22,7 +22,7 @@ __all__ = [
     "ConfigurationError", "DomainError", "ResourceError", "QPoly",
     "build_datum", "supported_presets", "RootDatum", "WeylElement",
     "weight_multiplicity", "irreducible_character", "tensor_decompose",
-    "restrict_to_levi", "levi_degree_shift", "weyl_dimension", "dual_weight",
+    "restrict_to_levi", "weyl_dimension", "dual_weight",
     "q_kostant", "lusztig_q_analog", "p_bk_polynomial",
     "graded_mult_in_nilcone", "hilbert_series_nilcone",
     "build_irrep", "principal_e", "centralizer_and_exponents",

@@ -3,7 +3,7 @@ product decomposition and branching to Levi subgroups.
 
 A character is a dict mapping weight tuples to integer multiplicities.
 Decompositions are dicts mapping dominant weight tuples to nonnegative
-multiplicities.  Tensor products, branching and decomposition all go through
+multiplicities.  Tensor products and branching both go through
 one Brauer-Klimyk rule (`_brauer`; Humphreys, GTM 9, §24): for a W-invariant
 chi, ch V_lam * chi = sum over the weights nu of chi of chi(nu) sign(w)
 ch V_{w.(lam + nu)}, with w.mu = w(mu + rho) - rho the dot action, so no
@@ -13,36 +13,15 @@ product character is built and no constituent's character is expanded.
 from functools import lru_cache
 
 from . import cache
-from .errors import DomainError
-from .roots import _dot, _vec_add, _vec_sub, _vec_scale, _require_weight
-
-
-def _require_dominant(datum, weight):
-    """DomainError unless weight is a dominant weight of ints (not bools).
-    Every hot path runs this check, so _require_weight, which gives a
-    malformed weight its own message, runs only on failure."""
-    try:
-        ok = len(weight) == datum.weight_dim
-    except TypeError:  # no length: an int, None, ...
-        ok = False
-    if ok:
-        for c in weight:
-            if type(c) is not int:
-                break
-        else:
-            if datum.is_dominant(weight):
-                return
-    _require_weight(datum, weight)
-    raise DomainError("weight %r is not a dominant lattice weight for %s"
-                      % (weight, datum.name))
+from .errors import DomainError, require_dominant, require_weight
+from .roots import _dot, _vec_add, _vec_sub, _vec_scale
 
 
 def weyl_dimension(datum, lam):
     """dim V_lam by Weyl's product formula over the positive roots,
     prod <lam + rho, alpha-check> / <rho, alpha-check>, with every factor
     doubled so that numerator and denominator are integers."""
-    _require_dominant(datum, lam)
-    return _weyl_dim(datum, lam)
+    return _weyl_dim(datum, require_dominant(datum, lam))
 
 
 def _weyl_dim(datum, lam):
@@ -81,10 +60,9 @@ def _dominant_weights_below(datum, lam):
 def weight_multiplicity(datum, lam, mu):
     """dim of the mu weight space of V_lam, read from the one-pass
     Freudenthal table of the dominant multiplicities of V_lam."""
-    _require_dominant(datum, lam)
-    _require_weight(datum, mu)
-    mu = datum.dominant_representative(tuple(mu))
-    return _dominant_mults(datum, tuple(lam)).get(mu, 0)
+    lam = require_dominant(datum, lam)
+    mu = datum.dominant_representative(require_weight(datum, mu))
+    return _dominant_mults(datum, lam).get(mu, 0)
 
 
 @lru_cache(maxsize=None)
@@ -158,8 +136,7 @@ def _dominant_key(datum, nu, beta):
 
 def irreducible_character(datum, lam):
     """Full weight multiset of V_lam as a dict weight -> multiplicity."""
-    _require_dominant(datum, lam)
-    return dict(_character(datum, tuple(lam)))
+    return dict(_character(datum, require_dominant(datum, lam)))
 
 
 @lru_cache(maxsize=None)
@@ -243,35 +220,22 @@ def _brauer(datum, entries, char):
                                       reverse=True) if out[w]}
 
 
-def decompose_character(datum, char):
-    """Write a character as a sum of irreducibles of `datum`; DomainError
-    unless it is W-invariant and every constituent comes out nonnegative."""
-    if not is_representation_character(datum, char):
-        raise DomainError("input is not the character of a representation")
-    return _brauer(datum, {(0,) * datum.weight_dim: 1}, char)
-
-
 def tensor_decompose(datum, lam, mu):
     """Multiplicities of each V_nu inside V_lam tensor V_mu."""
-    try:
-        entries_a, entries_b = {tuple(lam): 1}, {tuple(mu): 1}
-    except TypeError:  # not iterable, or entries that do not hash
-        raise DomainError("tensor_decompose takes two weights, got %r and %r"
-                          % (lam, mu)) from None
-    return tensor_decompose_on(datum, entries_a, entries_b)
+    return tensor_decompose_on(datum, {require_dominant(datum, lam): 1},
+                               {require_dominant(datum, mu): 1})
 
 
 def dual_weight(datum, lam):
     """Highest weight of the dual module: -w0(lam)."""
-    _require_dominant(datum, lam)
-    w0 = datum.longest_element()
-    return tuple(-c for c in w0.apply(tuple(lam)))
+    lam = require_dominant(datum, lam)
+    return tuple(-c for c in datum.longest_element().apply(lam))
 
 
 def restrict_to_levi(datum, subset, lam):
     """Decompose V_lam over the Levi spanned by the given simple indices."""
-    _require_dominant(datum, lam)
-    return dict(_restrict(datum, datum.levi(subset), tuple(lam)))
+    lam = require_dominant(datum, lam)
+    return dict(_restrict(datum, datum.levi(subset), lam))
 
 
 @lru_cache(maxsize=None)
@@ -292,8 +256,7 @@ def tensor_decompose_on(datum, entries_a, entries_b):
                 for lam, mult in entries_a.items())
     char_b = {}
     for lam, mult in entries_b.items():
-        _require_dominant(datum, lam)
-        for w, m in _character(datum, tuple(lam)).items():
+        for w, m in _character(datum, require_dominant(datum, lam)).items():
             char_b[w] = char_b.get(w, 0) + mult * m
     out = _brauer(datum, entries_a, char_b)
     total = sum(m * _weyl_dim(datum, nu) for nu, m in out.items())
@@ -310,27 +273,6 @@ def restrict_decomposition(datum, subset, entries):
     return {k: v for k, v in out.items() if v}
 
 
-def levi_degree_shift(datum, subset, chi):
-    """<chi, 2rho_G-check - 2rho_L-check> for chi central for the Levi."""
-    _require_weight(datum, chi)
-    levi = datum.levi(subset)
-    chi = tuple(chi)
-    for root in levi.positive_roots():
-        if datum.pair(chi, root.coroot) != 0:
-            raise DomainError(
-                "weight %r is not central for the Levi %r" % (chi, list(subset)))
-    return datum.pair_2rho_check(chi) - levi.pair_2rho_check(chi)
-
-
-def is_representation_character(datum, char):
-    """Check W-invariance of a weight multiset (the character predicate)."""
-    for w, m in char.items():
-        for elt in datum.weyl_elements():
-            if char.get(elt.apply(w), 0) != m:
-                return False
-    return True
-
-
 def weyl_character_oracle(datum, lam):
     """Character of V_lam straight from the Weyl character formula.
 
@@ -342,7 +284,7 @@ def weyl_character_oracle(datum, lam):
     division is exact only if each string's sum ends at 0.  Used as a test
     oracle only.
     """
-    _require_dominant(datum, lam)
+    lam = require_dominant(datum, lam)
     # exponents are shifted by -rho so that all of them lie in the lattice:
     # w(lam + rho) - rho = w(lam) + (w(rho) - rho)
     quotient = {}

@@ -13,7 +13,7 @@ Exit codes: 0 success, 1 domain/configuration error, 2 resource error.
 import argparse
 import sys
 
-from .errors import ConfigurationError, DomainError, ResourceError
+from .errors import ConfigurationError, DomainError, ResourceError, require_int
 from .roots import build_datum, supported_presets
 from . import characters, qanalog, reps, homspaces, sl2
 
@@ -48,7 +48,7 @@ def _dim_cap(text):
         cap = int(text)
     except ValueError:
         cap = text
-    return reps.require_dim_cap(cap)
+    return require_int(cap, "dim_cap", 1, None)
 
 
 def _poly_tsv(poly):

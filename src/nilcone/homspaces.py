@@ -27,10 +27,10 @@ qanalog are doubled at this boundary only.
 from functools import lru_cache
 from math import lcm
 
-from .errors import DomainError
-from .roots import _vec_sub
-from .characters import (tensor_decompose, dual_weight, restrict_to_levi,
-                         _require_dominant)
+from .errors import (require_dominant, require_instance, require_int,
+                     require_items, require_summand)
+from .roots import RootDatum, _vec_sub
+from .characters import tensor_decompose, dual_weight, restrict_to_levi
 from .qanalog import graded_mult_in_nilcone
 from .reps import (check_dim_cap, centralizer_and_exponents, principal_e,
                    op_add, op_apply, _build_irrep, _eliminate, _strip_column,
@@ -38,35 +38,24 @@ from .reps import (check_dim_cap, centralizer_and_exponents, principal_e,
 
 
 def free_object(summands):
-    """Normalize a multiset of (dominant weight, internal degree) pairs;
-    every degree must be an int (not a bool)."""
-    try:
-        summands = iter(summands)
-    except TypeError:
-        raise DomainError("a free object must be an iterable of (weight, "
-                          "degree) pairs, got %r" % (summands,)) from None
-    out = []
-    for summand in summands:
-        try:
-            w, i = summand
-            w = tuple(w)
-        except (TypeError, ValueError):
-            raise DomainError("a summand must be a (weight, degree) pair, "
-                              "got %r" % (summand,)) from None
-        if not isinstance(i, int) or isinstance(i, bool):
-            raise DomainError("internal degree must be an int, got %r" % (i,))
-        out.append((w, i))
-    return tuple(sorted(out))
+    """Normalize a multiset of (dominant weight, internal degree) pairs
+    into sorted (tuple, int) pairs; every weight entry and every degree
+    must be an int (not a bool)."""
+    return tuple(sorted(map(require_summand,
+                            require_items(summands, "free object", None))))
 
 
 def structure_sheaf(datum):
     """The free object V_0 in internal degree 0; mixed_shift shifts it."""
-    return free_object([(tuple([0] * datum.weight_dim), 0)])
+    require_instance(datum, RootDatum, "datum")
+    return (((0,) * datum.weight_dim, 0),)
 
 
 def mixed_shift(obj, n):
-    """Internal shift by n, paired with the cohomological shift [n]."""
-    return free_object([(w, i + n) for w, i in free_object(obj)])
+    """Internal shift by n, paired with the cohomological shift [n]; a
+    shift keeps the order of the summands."""
+    require_int(n, "shift", None, None)
+    return tuple((w, i + n) for w, i in free_object(obj))
 
 
 def levi_pullback(datum, subset, obj):
@@ -97,11 +86,11 @@ def hom_profile_kostant(datum, source, target):
     """
     source, target = free_object(source), free_object(target)
     for lam, _ in [*source, *target]:
-        _require_dominant(datum, lam)
+        require_dominant(datum, lam)
     table = {}
     for lam, i in source:
         for mu, j in target:
-            for degree, dim in _kostant_pair(datum, tuple(lam), tuple(mu)):
+            for degree, dim in _kostant_pair(datum, lam, mu):
                 key = (j - i, degree)
                 table[key] = table.get(key, 0) + dim
     return {k: v for k, v in table.items() if v}
@@ -123,6 +112,7 @@ def hom_profile_slice(datum, source, target, dim_cap=DEFAULT_DIM_CAP):
     (:func:`_strings`), one system per summand pair (:func:`_slice_pair`).
     Both objects pass free_object and every summand passes check_dim_cap
     before any module is built."""
+    require_int(dim_cap, "dim_cap", 1, None)
     source, target = free_object(source), free_object(target)
     for lam, _ in [*source, *target]:
         check_dim_cap(datum, lam, dim_cap)
@@ -278,14 +268,6 @@ def _slice_pair(datum, lam, mu):
     return tuple(out)
 
 
-def collapse_profile(table):
-    """Forget the cohomological grading (sum it out per internal key)."""
-    out = {}
-    for (delta, _deg), v in table.items():
-        out[delta] = out.get(delta, 0) + v
-    return {k: v for k, v in out.items() if v}
-
-
 def profile_to_json(source, target, table):
     entries = [{"internal": d, "cohomological": k, "dim": v}
                for (d, k), v in sorted(table.items())]
@@ -309,23 +291,12 @@ def adjunction_check(datum, v1, v2):
     the arguments put in one order, it would compare a computation with
     itself.
     """
-    _require_dominant(datum, v1)
-    _require_dominant(datum, v2)
-    lhs = hom_profile_kostant(datum, free_object([(v1, 0)]),
-                              free_object([(v2, 0)]))
+    v1, v2 = require_dominant(datum, v1), require_dominant(datum, v2)
+    lhs = hom_profile_kostant(datum, [(v1, 0)], [(v2, 0)])
     expansion = []
     for nu, m in tensor_decompose(datum, dual_weight(datum, v1), v2).items():
         expansion.extend([(nu, 0)] * m)
-    rhs = hom_profile_kostant(datum, structure_sheaf(datum),
-                              free_object(expansion))
-    return lhs == rhs
-
-
-def _shifted_summands(datum, lam, mu, i, j):
-    """V_lam in degree i and V_mu in degree j, as checked free objects."""
-    _require_dominant(datum, lam)
-    _require_dominant(datum, mu)
-    return free_object([(lam, i)]), free_object([(mu, j)])
+    return lhs == hom_profile_kostant(datum, structure_sheaf(datum), expansion)
 
 
 def orlov_degree_hom(datum, lam, mu, i, j):
@@ -334,13 +305,16 @@ def orlov_degree_hom(datum, lam, mu, i, j):
     Only the piece matching the internal-degree gap survives the grading:
     geometric function degree i - j.  Weights and degrees are checked first.
     """
-    source, target = _shifted_summands(datum, lam, mu, i, j)
+    lam, mu = require_dominant(datum, lam), require_dominant(datum, mu)
+    require_int(i, "internal degree", None, None)
+    require_int(j, "internal degree", None, None)
     if i == j:
-        return 1 if tuple(lam) == tuple(mu) else 0
+        return 1 if lam == mu else 0
     gap = i - j
     if gap < 0 or gap % 2:
         return 0
-    return hom_profile_kostant(datum, source, target).get((j - i, gap), 0)
+    table = hom_profile_kostant(datum, [(lam, i)], [(mu, j)])
+    return table.get((j - i, gap), 0)
 
 
 def orlov_axiom_check(datum, lam, mu, i, j):
@@ -351,10 +325,12 @@ def orlov_axiom_check(datum, lam, mu, i, j):
     (j - i, i - j); an admissible slot claims nothing and is not checked,
     but its weights and degrees are.
     """
-    source, target = _shifted_summands(datum, lam, mu, i, j)
+    lam, mu = require_dominant(datum, lam), require_dominant(datum, mu)
+    require_int(i, "internal degree", None, None)
+    require_int(j, "internal degree", None, None)
     gap = i - j
     if gap > 0 and gap % 2 == 0:
         return True
-    table = hom_profile_kostant(datum, source, target)
+    table = hom_profile_kostant(datum, [(lam, i)], [(mu, j)])
     return orlov_degree_hom(datum, lam, mu, i, j) == table.get((-gap, gap), 0)
 

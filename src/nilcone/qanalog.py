@@ -11,10 +11,11 @@ from functools import lru_cache
 from operator import add, sub
 
 from . import cache
-from .qpoly import (QPoly, product_truncated, geometric_series,
-                    require_truncation)
-from .roots import _dot, _vec_sub
-from .characters import weyl_dimension, _require_dominant, _require_weight
+from .errors import (require_dominant, require_instance, require_int,
+                     require_weight)
+from .qpoly import QPoly, product_truncated, geometric_series
+from .roots import RootDatum, _dot, _vec_sub
+from .characters import weyl_dimension
 
 
 def q_kostant(datum, nu):
@@ -24,8 +25,8 @@ def q_kostant(datum, nu):
     weighted by q^(sum n_alpha); the zero polynomial when there is none.
     The count comes from the memo as coefficients and leaves as a QPoly.
     """
-    _require_weight(datum, nu)
-    coords = datum.root_coordinates(tuple(nu))
+    nu = require_weight(datum, nu)
+    coords = datum.root_coordinates(nu)
     if coords is None or any(c < 0 for c in coords):
         return QPoly.zero()
     low, coeffs = _q_kostant_coords(
@@ -123,9 +124,8 @@ def _added(a, b):
 
 def lusztig_q_analog(datum, lam, mu):
     """Lusztig q-analog m^lam_mu(q); its value at q = 1 is dim V_lam(mu)."""
-    _require_dominant(datum, lam)
-    _require_weight(datum, mu)
-    lam = tuple(lam)
+    lam = require_dominant(datum, lam)
+    mu = require_weight(datum, mu)
     coords = datum.root_coordinates(_vec_sub(lam, mu))
     if coords is None:
         return QPoly.zero()
@@ -219,21 +219,18 @@ def p_bk_polynomial(datum, nu, lam):
     Equals q^<lam_dom - lam, rho-check> * m^{lam_dom}_nu(q), with lam_dom
     the dominant Weyl conjugate of lam (Brylinski, 1989).  Every weight of
     one Weyl orbit shares the q-analog, so it comes from _orbit_q_analog.
-    For a lam of ints, lam_dom - lam is a sum of simple roots, so its
-    height is half the difference of the 2rho-check pairings; a lam with a
-    Fraction entry goes through height, which raises DomainError when the
-    difference is off the root lattice.  dominant_conjugate checks lam.
+    dominant_conjugate checks lam.  For a lam of ints, lam_dom - lam is a
+    sum of simple roots, so its height is half the difference of the
+    2rho-check pairings, an int; a lam with a Fraction entry makes that
+    difference a Fraction and goes through height, which raises
+    DomainError when lam_dom - lam is off the root lattice.
     """
-    _require_dominant(datum, nu)
+    nu = require_dominant(datum, nu)
     _, lam_dom = datum.dominant_conjugate(lam)
-    for c in lam:
-        if type(c) is not int:
-            shift = datum.height(_vec_sub(lam_dom, lam))
-            break
-    else:
-        shift = (datum.pair_2rho_check(lam_dom)
-                 - datum.pair_2rho_check(lam)) // 2
-    return _orbit_q_analog(datum, tuple(nu), lam_dom).shifted(shift)
+    twice = datum.pair_2rho_check(lam_dom) - datum.pair_2rho_check(lam)
+    shift = twice // 2 if type(twice) is int \
+        else datum.height(_vec_sub(lam_dom, lam))
+    return _orbit_q_analog(datum, nu, lam_dom).shifted(shift)
 
 
 # One q-analog per Weyl orbit of the weights of V_nu.  A filtration-sweep
@@ -258,11 +255,10 @@ def graded_mult_in_nilcone(datum, lam, truncation=None):
     are computed: every q-Kostant count stops at q^N, and neither the disk
     cache nor the full series is read or written.
     """
+    lam = require_dominant(datum, lam)
     if truncation is None:
-        return lusztig_q_analog(datum, lam, tuple([0] * datum.weight_dim))
-    require_truncation(truncation, 0)
-    _require_dominant(datum, lam)
-    lam = tuple(lam)
+        return lusztig_q_analog(datum, lam, (0,) * datum.weight_dim)
+    require_int(truncation, "truncation", 0, None)
     coords = datum.root_coordinates(lam)
     if coords is None:
         return QPoly.zero()
@@ -315,7 +311,8 @@ def hilbert_series_nilcone(datum, truncation):
     On a torus, which has no roots, that is lam = 0 alone, and the series
     is 1.
     """
-    require_truncation(truncation, 1)
+    require_instance(datum, RootDatum, "datum")
+    require_int(truncation, "truncation", 1, None)
     ht_theta = datum.highest_root().height if datum.positive_roots() else 0
     out = QPoly.zero()
     for lam in dominant_weights_by_pairing(datum, truncation * ht_theta):
@@ -334,7 +331,7 @@ def hilbert_series_complete_intersection(exponents, dim_g, truncation):
     q tracks half the geometric degree, so the dim_g generators sit in
     degree 1 and the fundamental invariants in degrees m_i + 1.
     """
-    require_truncation(truncation, 1)
+    require_int(truncation, "truncation", 1, None)
     factors = [geometric_series(1, truncation)] * dim_g
     series = product_truncated(factors, truncation)
     numerator = QPoly.one()

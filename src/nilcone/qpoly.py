@@ -7,7 +7,7 @@ to its int and hashes as it; an operand that is neither a QPoly nor an int
 is left to Python, which raises TypeError.
 """
 
-from .errors import DomainError
+from .errors import refuse, require_int
 
 
 class QPoly:
@@ -19,8 +19,7 @@ class QPoly:
         if coeffs:
             for e, c in coeffs.items():
                 if type(e) is not int or type(c) is not int:
-                    raise DomainError("term %r: %r is not an integer "
-                                      "exponent and coefficient" % (e, c))
+                    refuse("term", (e, c), "an int exponent and coefficient")
                 if c:
                     self.coeffs[e] = c
 
@@ -178,8 +177,7 @@ def _operand(other):
 
 def geometric_series(step, n):
     """1 + q^step + q^(2*step) + ... truncated at exponent n."""
-    if isinstance(step, bool) or not isinstance(step, int) or step < 1:
-        raise DomainError("step must be an integer >= 1, got %r" % (step,))
+    require_int(step, "step", 1, None)
     out = {}
     e = 0
     while e <= n:
@@ -194,11 +192,3 @@ def product_truncated(factors, n):
     for f in factors:
         acc = (acc * f).truncated(n)
     return acc
-
-
-def require_truncation(n, least):
-    """DomainError unless the truncation n is an int of at least least."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise DomainError("truncation must be an integer, got %r" % (n,))
-    if n < least:
-        raise DomainError("truncation must be >= %d" % least)

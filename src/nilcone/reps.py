@@ -36,11 +36,11 @@ from itertools import groupby
 from math import gcd
 from operator import itemgetter
 
-from .errors import DomainError, ResourceError
-from .qpoly import QPoly, require_truncation
-from .roots import _vec_add
-from .characters import (irreducible_character, weyl_dimension,
-                         _character, _require_dominant, _require_weight)
+from .errors import (ResourceError, require_dominant, require_instance,
+                     require_int, require_weight)
+from .qpoly import QPoly
+from .roots import RootDatum, _vec_add
+from .characters import irreducible_character, weyl_dimension, _character
 
 DEFAULT_DIM_CAP = 400
 # layer rows of matrix modules kept in memory, each row set holding its
@@ -287,23 +287,6 @@ class MatrixRep:
         assert self.dim == weyl_dimension(d, self.highest_weight)
         return True
 
-    def serre_check(self):
-        """(ad e_i)^(1 - <alpha_j, alpha_i-check>)(e_j) = 0 here, both sides."""
-        d = self.datum
-        ok = True
-        for i in range(d.rank):
-            for j in range(d.rank):
-                if i == j:
-                    continue
-                n = 1 - d.cartan[i][j]
-                for ops in (self.e_ops, self.f_ops):
-                    acc = ops[j]
-                    for _ in range(n):
-                        acc = op_commutator(ops[i], acc)
-                    if acc:
-                        ok = False
-        return ok
-
     def to_json(self):
         """Documented export: basis labels plus dense row-major matrices,
         every entry a rational string "p/q"."""
@@ -323,19 +306,12 @@ class MatrixRep:
         }
 
 
-def require_dim_cap(dim_cap):
-    """dim_cap, once it is an int (not a bool) of at least 1."""
-    if type(dim_cap) is not int or dim_cap < 1:
-        raise DomainError("dim_cap must be an int >= 1, got %r" % (dim_cap,))
-    return dim_cap
-
-
-def check_dim_cap(datum, lam, dim_cap=DEFAULT_DIM_CAP):
-    """lam as a tuple, once dim_cap is valid, lam is dominant and dim V_lam
-    is within dim_cap, checked from the Weyl dimension before any build."""
-    require_dim_cap(dim_cap)
-    _require_dominant(datum, lam)
-    lam = tuple(lam)
+def check_dim_cap(datum, lam, dim_cap):
+    """lam as a tuple, once dim_cap is an int >= 1, lam is dominant and
+    dim V_lam is within dim_cap, checked from the Weyl dimension before any
+    build."""
+    require_int(dim_cap, "dim_cap", 1, None)
+    lam = require_dominant(datum, lam)
     dim = weyl_dimension(datum, lam)
     if dim > dim_cap:
         raise ResourceError(
@@ -403,6 +379,7 @@ def _build_irrep(datum, lam):
 def principal_e(rep):
     """The principal nilpotent e = sum of the simple raising operators; all
     principal nilpotents are conjugate (Kostant, 1959)."""
+    require_instance(rep, MatrixRep, "module")
     out = {}
     for op in rep.e_ops:
         out = op_add(out, op)
@@ -463,11 +440,16 @@ class CentralizerElement:
         return out
 
 
-@lru_cache(maxsize=None)
 def centralizer_and_exponents(datum):
-    """Homogeneous basis of the centralizer of e, and the exponents.
+    """Homogeneous basis of the centralizer of e, and the exponents; the
+    datum is checked before the memo, which cannot hash every argument."""
+    return _centralizer_and_exponents(
+        require_instance(datum, RootDatum, "datum"))
 
-    The centralizer has one element in each degree 2 m_i > 0 (Kostant,
+
+@lru_cache(maxsize=None)
+def _centralizer_and_exponents(datum):
+    """The centralizer has one element in each degree 2 m_i > 0 (Kostant,
     1959), so it lies in the span of the positive root vectors, and a root
     vector of height m has principal degree 2m.  [x, e] = 0 is solved
     height by height in the adjoint module; the basis elements come back
@@ -594,8 +576,8 @@ def bk_filtration(rep, lam):
     rank is dim V_lam too and dims is 0 below that label.  The profile
     keeps the jumps of dims, which are the steps between those ranks.
     """
-    _require_weight(rep.datum, lam)
-    lam = tuple(lam)
+    require_instance(rep, MatrixRep, "module")
+    lam = require_weight(rep.datum, lam)
     cols = rep.weight_spaces.get(lam, [])
     m = len(cols)
     if m == 0:
@@ -638,6 +620,7 @@ def verify_theorem_filtrations(datum, nu, lam, dim_cap=DEFAULT_DIM_CAP):
     Returns (equal, filtration polynomial, predicted polynomial).
     """
     from .qanalog import p_bk_polynomial
+    lam = require_weight(datum, lam)
     rep = build_irrep(datum, nu, dim_cap)
     actual = bk_filtration(rep, lam).graded_poly()
     predicted = p_bk_polynomial(datum, nu, lam)
@@ -651,7 +634,7 @@ def poincare_gr(datum, truncation):
     it, already divided, so each factor is one running sum with stride s,
     linear in the truncation.
     """
-    require_truncation(truncation, 0)
+    require_int(truncation, "truncation", 0, None)
     _, exponents = centralizer_and_exponents(datum)
     coeffs = [1] + [0] * truncation
     for m in exponents:

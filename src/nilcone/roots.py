@@ -25,7 +25,8 @@ from functools import lru_cache
 from math import prod
 from operator import add, mul, sub
 
-from .errors import ConfigurationError, DomainError
+from .errors import (ConfigurationError, DomainError, require_indices,
+                     require_weight)
 
 # name -> (cartan A with A[i][j] = <alpha_j, alpha_i-check>, symmetrizers d_i,
 #          lattice kind, expected number of positive roots)
@@ -153,30 +154,6 @@ def _mat_mul(a, b):
 
 def _identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _require_weight(datum, weight):
-    """A weight is weight_dim exact entries: ints (not bools), or Fractions
-    for a vector off the lattice, where every multiplicity and q-analog is 0.
-    An int entry is accepted first, so only another entry loads fractions;
-    a caller that passes a Fraction has loaded it already."""
-    try:
-        ok = len(weight) == datum.weight_dim
-    except TypeError:  # no length: an int, None, ...
-        ok = False
-    if ok:
-        for c in weight:
-            if type(c) is not int and not _is_fraction(c):
-                break
-        else:
-            return
-    raise DomainError("weight %r is not %d exact coordinates for %s"
-                      % (weight, datum.weight_dim, datum.name))
-
-
-def _is_fraction(c):
-    from fractions import Fraction
-    return isinstance(c, Fraction)
 
 
 class WeylElement:
@@ -518,8 +495,7 @@ class RootDatum:
         inexact entry would pair by wrong dot products, so it is refused
         first, as is one of the wrong length.
         """
-        _require_weight(self, weight)
-        weight = tuple(weight)
+        weight = require_weight(self, weight)
         # the closed dominant chamber meets every Weyl orbit (Humphreys,
         # GTM 9, §10.3), so some element returns
         for w in self.weyl_elements():
@@ -560,16 +536,8 @@ class RootDatum:
     def levi(self, subset):
         """Levi sub-datum spanned by the given simple-root indices: an
         iterable of ints (not bools) in range(rank)."""
-        try:
-            indices = tuple(subset)
-        except TypeError:
-            raise DomainError("a Levi subset must be an iterable of simple "
-                              "root indices, got %r" % (subset,)) from None
-        for i in indices:
-            if (not isinstance(i, int) or isinstance(i, bool)
-                    or not 0 <= i < self.rank):
-                raise DomainError("invalid simple root index %r" % (i,))
-        subset = tuple(sorted(set(indices)))
+        subset = tuple(sorted(set(require_indices(subset, self.rank,
+                                                  "Levi subset"))))
         if subset in self._levi_cache:
             return self._levi_cache[subset]
         cartan = [[self.cartan[i][j] for j in subset] for i in subset]
@@ -617,13 +585,18 @@ def _integral_solution(inverse, v):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def build_datum(preset):
-    """Return the validated RootDatum for a preset identifier; one object
-    per preset, so the memos downstream can key on the datum itself."""
-    if preset not in _PRESETS:
+    """Return the validated RootDatum for a preset name; one object per
+    preset, so the memos downstream can key on the datum itself.  The name
+    is checked before the memo, which cannot hash every argument."""
+    if not isinstance(preset, str) or preset not in _PRESETS:
         raise ConfigurationError(
             "unknown preset %r; supported: %s" % (preset, ", ".join(supported_presets())))
+    return _build_datum(preset)
+
+
+@lru_cache(maxsize=None)
+def _build_datum(preset):
     cartan, sym, kind, n_pos = _PRESETS[preset]
     basis = "root" if kind == "adjoint" else "fundamental"
     datum = RootDatum(preset, cartan, sym, kind, basis)

@@ -5,7 +5,6 @@ rank-one group is identified with 2Z, matching twice a fundamental weight
 with 2; this display convention is local to this module).  The module
 generates:
 
-* dimensions of orbits;
 * composition series of standard, costandard and projective objects;
 * the convolution table of simple classes, by a closed form and by the
   descent recursion through the label -2, cross-checked;
@@ -22,20 +21,10 @@ golden files.
 
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import (require_choice, require_even, require_int,
+                     require_int_map, require_items)
 from .roots import build_datum
 from .characters import tensor_decompose
-
-
-def _require_even(n):
-    if type(n) is not int or n % 2:
-        raise DomainError("orbit labels are even integers, got %r" % (n,))
-
-
-def orbit_dim(n):
-    """Dimension of the Iwahori orbit with label n."""
-    _require_even(n)
-    return n if n >= 0 else -n - 1
 
 
 class FlagTable:
@@ -74,7 +63,7 @@ class FlagTable:
 
 
 def standard_class(n):
-    _require_even(n)
+    require_even(n, "orbit label", None)
     if n == 0:
         return FlagTable("standard", 0, [{0: 1}])
     if n > 0:
@@ -83,7 +72,7 @@ def standard_class(n):
 
 
 def costandard_class(n):
-    _require_even(n)
+    require_even(n, "orbit label", None)
     if n == 0:
         return FlagTable("costandard", 0, [{0: 1}])
     if n > 0:
@@ -92,7 +81,7 @@ def costandard_class(n):
 
 
 def projective_class(n):
-    _require_even(n)
+    require_even(n, "orbit label", None)
     if n >= 0:
         flag = [n, -n - 2]
     else:
@@ -112,35 +101,24 @@ def projective_class(n):
     return FlagTable("projective", n, layers, delta_flag=flag)
 
 
-def simple_in_standard(m, a):
-    """[standard_m : simple_a]."""
-    return standard_class(m).jh_multiset().get(a, 0)
-
-
 def simple_in_costandard(m, a):
+    """[costandard_m : simple_a]."""
+    require_even(a, "orbit label", None)
     return costandard_class(m).jh_multiset().get(a, 0)
 
 
 def standard_in_projective(n, m):
     """[P_n : standard_m], read off the standard flag."""
+    require_even(m, "orbit label", None)
     return projective_class(n).delta_flag.count(m)
-
-
-def hom_dim_proj(a, b):
-    """dim Hom(P_a, P_b) = [P_b : simple_a]."""
-    _require_even(a)
-    _require_even(b)
-    return projective_class(b).jh_multiset().get(a, 0)
 
 
 # -- convolution -----------------------------------------------------------------
 
 def convolve_ic(m, k):
     """Class of IC_m * IC_k (k spherical, i.e. k >= 0), closed form."""
-    _require_even(m)
-    _require_even(k)
-    if k < 0:
-        raise DomainError("the right factor must have a nonnegative label")
+    require_even(m, "orbit label", None)
+    require_even(k, "spherical label", 0)
     if m >= 0:
         lo, hi = abs(m - k), m + k
     else:
@@ -154,6 +132,8 @@ def convolve_ic(m, k):
 
 def convolve_class(cls, k):
     """Extend convolve_ic linearly to a nonnegative combination of simples."""
+    require_int_map(cls, "class")
+    require_even(k, "spherical label", 0)
     out = {}
     for m, mult in cls.items():
         for j, c in convolve_ic(m, k).items():
@@ -174,10 +154,8 @@ def convolve_ic_recursive(m, k):
     directly.  For m = -n-2 < -2 the class is obtained by convolving the
     two-step class of label -2 against IC_n * IC_k and removing IC_{-n} * IC_k.
     """
-    _require_even(m)
-    _require_even(k)
-    if k < 0:
-        raise DomainError("the right factor must have a nonnegative label")
+    require_even(m, "orbit label", None)
+    require_even(k, "spherical label", 0)
     if m >= 0:
         return _spherical_convolution(m, k)
     if m == -2:
@@ -209,9 +187,7 @@ def _convolve_recursive(m, k):
 
 def resolution_term(j):
     """Label of the degree-j term of the projective resolution (j <= 0)."""
-    if type(j) is not int or j > 0:
-        raise DomainError("resolution indices are nonpositive integers, "
-                          "got %r" % (j,))
+    require_int(j, "resolution index", None, 0)
     if j == 0:
         return 0
     m = (-j + 1) // 2
@@ -224,13 +200,9 @@ def hom_complex_profile(k, window):
     For each resolution index i in the int window (lo, hi), maps complex
     degree n to dim Hom(P^i, P^(i+n) * IC_k), by composition multiplicities.
     """
-    _require_even(k)
-    if k < 0:
-        raise DomainError("spherical label must be nonnegative")
-    if not (isinstance(window, (tuple, list)) and len(window) == 2
-            and all(type(t) is int for t in window)):
-        raise DomainError("window must be two integers, got %r" % (window,))
-    lo, hi = window
+    require_even(k, "spherical label", 0)
+    lo, hi = (require_int(t, "window end", None, None)
+              for t in require_items(window, "window", 2))
     out = {}
     for i in range(min(hi, 0), lo - 1, -1):
         out[i] = _index_profile(k, i)
@@ -259,7 +231,7 @@ def hom_complex_pattern(k):
     indices that differ from the stable pattern.  Indices 0 to -(k//2 + 6)
     are probed, and the two deepest must agree.
     """
-    _require_even(k)
+    require_even(k, "spherical label", 0)
     depth = k // 2 + 6
     profiles = {i: _index_profile(k, i) for i in range(0, -depth - 1, -1)}
     deepest = profiles[-depth]
@@ -275,18 +247,20 @@ def hom_complex_pattern(k):
 
 
 def euler_characteristic(profile):
+    require_int_map(profile, "profile")
     return sum(d if n % 2 == 0 else -d for n, d in profile.items())
 
 
 def table_rows(kinds, labels):
     """TSV-ready rows for the objects of the given kinds ("standard",
     "costandard", "projective") and labels.  DomainError on an unknown
-    kind, before any row is built."""
+    kind or label, before any row is built."""
     builders = {"standard": standard_class, "costandard": costandard_class,
                 "projective": projective_class}
-    for kind in kinds:
-        if kind not in builders:
-            raise DomainError("unknown object kind %r" % (kind,))
+    kinds = [require_choice(kind, builders, "object kind")
+             for kind in require_items(kinds, "object kinds", None)]
+    labels = [require_even(n, "orbit label", None)
+              for n in require_items(labels, "orbit labels", None)]
     rows = []
     for kind in kinds:
         for n in labels:

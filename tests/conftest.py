@@ -1,8 +1,15 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import settings
 
 from nilcone.roots import build_datum, supported_presets
+
+# every property test draws the same examples on every run and writes no
+# example database; a test sets only its own max_examples
+settings.register_profile("nilcone", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("nilcone")
 
 
 @pytest.fixture(scope="session")

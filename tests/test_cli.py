@@ -341,7 +341,7 @@ def _argv(draw):
     return argv
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(_argv())
 def test_argument_fuzz_exits_with_one_error_line(argv):
     out, err = io.StringIO(), io.StringIO()

@@ -16,7 +16,7 @@ from nilcone.reps import (build_irrep, principal_e, op_add, op_commutator,
 import nilcone.homspaces as homspaces
 from nilcone.homspaces import (free_object, structure_sheaf,
                                hom_profile_kostant, hom_profile_slice,
-                               collapse_profile, adjunction_check,
+                               adjunction_check,
                                orlov_axiom_check, orlov_degree_hom,
                                mixed_shift, levi_pullback, profile_to_json,
                                same_center_component)
@@ -47,7 +47,8 @@ def test_center_component_vanishing(a1):
     assert same_center_component(a1, (3,), (1,))
 
 
-SLICE_POOLS = [("A1-sc", 60), ("A1-adj", 60), ("A2-sc", 60), ("B2-sc", 40)]
+SLICE_POOLS = [("A1-sc", 60), ("A1-adj", 60), ("A2-sc", 60), ("B2-sc", 40),
+               ("A2-adj", 400), ("G2", 400), ("A3-sc", 400)]
 
 
 @pytest.mark.parametrize("preset,cap", SLICE_POOLS)
@@ -150,7 +151,7 @@ def test_f_completes_the_principal_sl2(preset):
     assert op_commutator(principal_e(rep), f) == h
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(preset=st.sampled_from(["A1-sc", "A2-sc", "B2-sc", "G2"]),
        pairing=st.lists(st.integers(0, 4), min_size=2, max_size=2))
 def test_strings_match_the_layer_dimensions(preset, pairing):
@@ -363,6 +364,15 @@ def test_levi_pullback_commutes_with_shift(a2):
     assert lhs == rhs
 
 
+def _collapsed(table):
+    """A Hom profile with its cohomological grading summed out per
+    internal key."""
+    out = Counter()
+    for (delta, _), v in table.items():
+        out[delta] += v
+    return {k: v for k, v in out.items() if v}
+
+
 @pytest.mark.parametrize("preset", ["A1-sc", "A1-adj", "A2-sc"])
 def test_pullback_functoriality_collapsed(preset):
     # forgetting the grading, pullback to any Levi preserves Hom dimensions
@@ -381,8 +391,8 @@ def test_pullback_functoriality_collapsed(preset):
                 l_profile = hom_profile_kostant(
                     levi, levi_pullback(datum, subset, src),
                     levi_pullback(datum, subset, tgt))
-                assert collapse_profile(l_profile) == \
-                    collapse_profile(g_profile), (lam, mu, subset)
+                assert _collapsed(l_profile) == _collapsed(g_profile), \
+                    (lam, mu, subset)
 
 
 def test_pullback_to_torus_concentrated_in_degree_zero(a2):

@@ -142,7 +142,7 @@ def _off_lattice(datum):
     return (Fraction(1, 2),) + (0,) * (datum.weight_dim - 1)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(case=_q_one_cases(), pick=st.integers(0, 10 ** 6))
 # the largest highest weights of test_q_one_specialization's sweeps
 @example(case=("A1-sc", (4,)), pick=0)
@@ -168,7 +168,7 @@ def test_q_one_specialization_property(case, pick):
     assert weight_multiplicity(datum, lam, off_lattice) == 0
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(case=_q_one_cases(), drop=st.lists(st.integers(0, 4), min_size=3,
                                           max_size=3),
        pick=st.integers(0, 10 ** 6))
@@ -243,7 +243,7 @@ def test_fractional_mu_with_a_cache_dir(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("preset", supported_presets())
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(coords=st.lists(st.integers(0, 12), min_size=3, max_size=3))
 @example(coords=[70, 0, 0])     # a string past the memo's fill stride
 def test_q_kostant_matches_string_sum(preset, coords):
@@ -342,7 +342,7 @@ def _clear_prediction_memos():
     qanalog._orbit_q_analog.cache_clear()
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(st.sampled_from(supported_presets()), st.data())
 def test_orbit_memo_gives_every_weight_its_shifted_q_analog(preset, data):
     """With every q memo cleared, then warm, over the modules of dimension
@@ -394,7 +394,7 @@ def test_p_bk_of_fraction_weights(a1):
 
 
 @pytest.mark.parametrize("preset,subset", DATA_AND_LEVIS)
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@settings(max_examples=20)
 @given(entries=st.lists(st.integers(-3, 3), min_size=3, max_size=3),
        drop=st.lists(st.integers(0, 3), min_size=3, max_size=3),
        pick=st.integers(0, 10 ** 6))

@@ -104,7 +104,7 @@ def test_dominant_conjugate_rejects_inexact_weights(a2):
 
 
 @pytest.mark.parametrize("preset,subset", DATA_AND_LEVIS)
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(entries=st.lists(st.one_of(
     st.integers(-8, 8),
     st.builds(Fraction, st.integers(-16, 16), st.integers(1, 4))),
@@ -191,7 +191,7 @@ def _lattice_form(vector):
 
 
 @pytest.mark.parametrize("preset", sorted(EXPECTED))
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(coords=st.lists(st.integers(-20, 20), min_size=3, max_size=3),
        denom=st.integers(2, 6), k=st.integers(0, 2))
 def test_root_coordinates_round_trip(preset, coords, denom, k):
@@ -230,7 +230,7 @@ def test_weight_from_pairing_rejects_levi():
 
 
 @pytest.mark.parametrize("preset", sorted(EXPECTED))
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(lam=st.lists(st.integers(-6, 6), min_size=3, max_size=3),
        mu=st.lists(st.integers(-6, 6), min_size=3, max_size=3))
 def test_integer_rho_shift_matches_fraction_dot_action(preset, lam, mu):
@@ -292,7 +292,7 @@ def _vectors(n):
     return st.lists(_ENTRIES, min_size=n, max_size=n).map(tuple)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(data=st.data(), n=st.integers(1, 4), other=st.integers(1, 4))
 def test_small_vector_kernels_match_their_references(data, n, other):
     """The unpacked lengths 1-3 and the generic length 4 equal the map/zip

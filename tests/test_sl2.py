@@ -6,26 +6,22 @@ import pytest
 from nilcone.errors import DomainError
 from nilcone.roots import build_datum
 from nilcone.characters import tensor_decompose
-from nilcone.sl2 import (orbit_dim, standard_class, costandard_class,
-                         projective_class, convolve_ic, convolve_ic_recursive,
-                         convolve_class, resolution_term, hom_dim_proj,
-                         hom_complex_profile, hom_complex_pattern,
-                         euler_characteristic, standard_in_projective,
-                         simple_in_costandard, simple_in_standard, table_rows)
+from nilcone.sl2 import (standard_class, costandard_class, projective_class,
+                         convolve_ic, convolve_ic_recursive, convolve_class,
+                         resolution_term, hom_complex_profile,
+                         hom_complex_pattern, euler_characteristic,
+                         standard_in_projective, simple_in_costandard,
+                         table_rows)
 
 GOLDEN = json.loads((Path(__file__).parent / "data" /
                      "sl2_boxed_tables.json").read_text())
 
 
-def test_orbit_dims():
-    assert orbit_dim(0) == 0
-    assert orbit_dim(4) == 4
-    assert orbit_dim(-4) == 3
-    assert [orbit_dim(n) for n in (-2, 2, -6)] == [1, 2, 5]
-    # labels are even ints: no float, bool, string or None
+def test_orbit_labels_are_even_ints():
+    # no odd int, float, bool, string or None
     for bad in (3, 2.0, True, False, "2", None):
-        for build in (orbit_dim, standard_class, costandard_class,
-                      projective_class, hom_complex_pattern):
+        for build in (standard_class, costandard_class, projective_class,
+                      hom_complex_pattern):
             with pytest.raises(DomainError):
                 build(bad)
 
@@ -124,12 +120,6 @@ def test_resolution_terms():
     for bad in (1, -1.5, -2.0, False, "0", None):
         with pytest.raises(DomainError):
             resolution_term(bad)
-
-
-def test_hom_dim_proj_examples():
-    assert hom_dim_proj(0, 0) == 2
-    assert hom_dim_proj(0, -2) == 1
-    assert hom_dim_proj(4, 0) == 0
 
 
 def test_hom_complex_k0():
