@@ -32,7 +32,7 @@ from .errors import (require_dominant, require_instance, require_int,
 from .roots import RootDatum, _vec_sub
 from .characters import tensor_decompose, dual_weight, restrict_to_levi
 from .qanalog import graded_mult_in_nilcone
-from .reps import (check_dim_cap, centralizer_and_exponents, principal_e,
+from .reps import (check_dim_cap, centralizer_and_exponents,
                    op_add, op_apply, _build_irrep, _eliminate, _strip_column,
                    int_columns_rank, DEFAULT_DIM_CAP)
 
@@ -153,7 +153,7 @@ def _strings(datum, lam):
     elements = [el for el in centralizer_and_exponents(datum)[0]
                 if el.degree > 2 or len(set(el.coeffs)) > 1]
     rep = _build_irrep(datum, lam)
-    e = principal_e(rep)
+    e = rep.e
     f = {}
     for i, c in enumerate(_f_coefficients(datum)):
         f = op_add(f, rep.f_ops[i], c)

@@ -12,16 +12,23 @@ isomorphically onto the lattice of the candidates' e-images, which are
 integer vectors over the bases above.  One unimodular reduction of those
 images per weight space (:func:`_hermite`) gives a Z-basis of that lattice,
 hence of L(mu), and back-substitution gives every candidate's integer
-coordinates over it (:func:`fraction_solve`).
+coordinates over it (:func:`fraction_solve`).  The rows of the e_i lie in
+different weight spaces, so each Z-basis image is one whole column of the
+principal nilpotent e = sum e_i: the module keeps them as MatrixRep.e, and
+the builder, the kernel filtrations, the centralizer and the slice route
+read e from there.
 
 Ranks, the centralizer kernel and the kernel filtration rows go through one
-fraction-free integer elimination, :func:`_eliminate`.  Kernel filtrations
-of the principal nilpotent e come from one top-down pass over the
+fraction-free integer elimination, :func:`_eliminate`.  Both reductions
+return a single column at once, as their loops would: on a filtration-sweep
+round 3,881 of the builder's 4,995 weight-space systems have one column.
+Kernel filtrations of e come from one top-down pass over the
 principal-degree layers (:func:`_layer_rows`), whose labelled rows
 bk_filtration restricts to a weight space, one rank per label from the top
 label down, until the rank is the dimension of the space.  Each layer
 reduces the rows pushed down from the layer above and coordinate rows of e
-only at the indices that no kept row there leads.
+only at the indices that no kept row there leads.  A profile keeps only
+the jumps of its dimensions (:class:`FiltrationProfile`).
 
 Modules are not memoised: each call of build_irrep builds one.  The layer
 rows of the last module asked for are memoised with functools.lru_cache,
@@ -134,6 +141,11 @@ def _eliminate(columns, nrows=None):
     j and otherwise supported on the kept columns before j.
     """
     ncols = len(columns)
+    if ncols == 1:  # what the loop below returns, without its setup
+        col = columns[0]
+        if nrows is not None:
+            return ({0: {**col, nrows: 1}}, []) if col else ({}, [[1]])
+        return ({0: col} if col else {}), []
     if nrows is not None:
         columns = [{**col, nrows + j: 1} for j, col in enumerate(columns)]
     pivots = {}  # pivot row -> reduced column
@@ -225,12 +237,15 @@ def fraction_solve(columns):
     columns[j] = sum_t x[t] basis[t], read by back-substitution down the
     pivot rows.  The name predates the integer models; it stays because
     bench/tracing.py records the builder's one call per weight space by it.
-    A single nonzero column has coordinate +1 or -1 over its own basis.
+    A single nonzero column is its own basis, made positive at its first
+    row, with coordinate +1 or -1, as _hermite would give it.
     """
-    basis = _hermite(columns)
-    if len(columns) == 1 and basis:
+    if len(columns) == 1 and columns[0]:
         col = columns[0]
-        return basis, [{0: 1 if col[min(col)] > 0 else -1}]
+        if col[min(col)] > 0:
+            return [col], [{0: 1}]
+        return [{r: -v for r, v in col.items()}], [{0: -1}]
+    basis = _hermite(columns)
     pos = {min(b): t for t, b in enumerate(basis)}
     coords = []
     for col in columns:
@@ -251,12 +266,13 @@ def fraction_solve(columns):
 class MatrixRep:
     """Chevalley generator matrices for one irreducible module."""
 
-    def __init__(self, datum, highest_weight, basis, e_ops, f_ops):
+    def __init__(self, datum, highest_weight, basis, e_ops, f_ops, e):
         self.datum = datum
         self.highest_weight = highest_weight
         self.basis = basis  # list of (weight, occurrence index)
         self.e_ops = e_ops  # one sparse op per simple index
         self.f_ops = f_ops
+        self.e = e  # the principal nilpotent, the sum of e_ops; read only
         self.dim = len(basis)
         self.weight_spaces = {}  # weight -> basis indices
         self.layers = {}  # principal degree -> basis indices
@@ -340,6 +356,7 @@ def _build_irrep(datum, lam):
 
     e_ops = [{} for _ in range(rank)]
     f_ops = [{} for _ in range(rank)]
+    e = {}  # each image below is one whole column of e = sum of e_ops
     for mu in order[1:]:
         ups = [slots.get(_vec_add(mu, simple[j]), ()) for j in range(rank)]
         direction = {r: j for j in range(rank) for r in ups[j]}
@@ -348,14 +365,15 @@ def _build_irrep(datum, lam):
         cands = []
         columns = []
         for i in range(rank):
-            h = datum.simple_pairing(_vec_add(mu, simple[i]), i)
+            h = datum.simple_pairing(mu, i) + 2  # h_i on mu + alpha_i
+            f = f_ops[i]
             for b in ups[i]:
+                # e f_i b = f_i e b + h_i b: the sum over j of
                 # e_j f_i b = f_i e_j b + delta_ij h_i b
                 col = {b: h}
-                for e in e_ops:
-                    for t, c in e.get(b, {}).items():
-                        for r, v in f_ops[i].get(t, {}).items():
-                            col[r] = col.get(r, 0) + c * v
+                for t, c in e.get(b, {}).items():
+                    for r, v in f.get(t, {}).items():
+                        col[r] = col.get(r, 0) + c * v
                 cands.append((i, b))
                 columns.append({r: v for r, v in col.items() if v})
         # no nonzero vector below lam is killed by every e_j, so a Z-basis
@@ -368,22 +386,21 @@ def _build_irrep(datum, lam):
             if x:
                 f_ops[i][b] = {slots[mu][t]: v for t, v in x.items()}
         for g, col in zip(slots[mu], images):
+            e[g] = col
             for r, v in col.items():
                 e_ops[direction[r]].setdefault(g, {})[r] = v
 
-    rep = MatrixRep(datum, lam, basis, e_ops, f_ops)
+    rep = MatrixRep(datum, lam, basis, e_ops, f_ops, e)
     rep.validate()
     return rep
 
 
 def principal_e(rep):
     """The principal nilpotent e = sum of the simple raising operators; all
-    principal nilpotents are conjugate (Kostant, 1959)."""
+    principal nilpotents are conjugate (Kostant, 1959).  A copy of rep.e,
+    which the builder wrote, so that no caller can change the module."""
     require_instance(rep, MatrixRep, "module")
-    out = {}
-    for op in rep.e_ops:
-        out = op_add(out, op)
-    return out
+    return {c: dict(col) for c, col in rep.e.items()}
 
 
 # -- positive root vectors and the centralizer of e ---------------------------
@@ -441,10 +458,12 @@ class CentralizerElement:
 
 
 def centralizer_and_exponents(datum):
-    """Homogeneous basis of the centralizer of e, and the exponents; the
-    datum is checked before the memo, which cannot hash every argument."""
-    return _centralizer_and_exponents(
+    """Homogeneous basis of the centralizer of e, and the exponents, as
+    fresh lists; the datum is checked before the memo, which cannot hash
+    every argument and holds tuples, so no caller can change it."""
+    elements, exponents = _centralizer_and_exponents(
         require_instance(datum, RootDatum, "datum"))
+    return list(elements), list(exponents)
 
 
 @lru_cache(maxsize=None)
@@ -458,9 +477,9 @@ def _centralizer_and_exponents(datum):
     is 0 and there are no elements and no exponents.
     """
     if not datum.positive_roots():
-        return [], []
+        return (), ()
     adj = build_irrep(datum, datum.highest_root().weight)
-    e = principal_e(adj)
+    e = adj.e
     by_height = {}
     for r in datum.positive_roots():
         by_height.setdefault(r.height, []).append(
@@ -485,29 +504,40 @@ def _centralizer_and_exponents(datum):
         for coeffs in _eliminate(cols, rows)[1]:
             elements.append(CentralizerElement(2 * m, group, coeffs))
 
-    exponents = [el.degree // 2 for el in elements]
+    exponents = tuple(el.degree // 2 for el in elements)
     assert len(exponents) == datum.rank
-    return elements, exponents
+    return tuple(elements), exponents
 
 
 # -- the kernel filtration -----------------------------------------------------
 
 class FiltrationProfile:
-    """Dimensions of V(weight) cut by kernels of the powers of e.
+    """Dimensions of V(weight) cut by kernels of the powers of e, kept as
+    their jumps.
 
-    dims maps each filtration index to a dimension, nondecreasing.  jumps
-    maps the indices where dims steps up to the size of the step (from 0
-    below index 0); bk_filtration knows them as it fills dims, so
-    graded_poly costs one term per jump and never walks dims.
+    jumps maps each filtration index i where dim ker e^(i+1) on V(weight)
+    steps up to the size of the step (from 0 below index 0); they add up to
+    total.  graded_poly costs one term per jump, and dims, the dimension at
+    every index up to the last jump, is derived from the jumps on demand.
     """
 
-    __slots__ = ("weight", "dims", "total", "jumps")
+    __slots__ = ("weight", "total", "jumps")
 
-    def __init__(self, weight, dims, total, jumps):
+    def __init__(self, weight, total, jumps):
         self.weight = weight
-        self.dims = dims  # filtration index -> dim, nondecreasing
         self.total = total
         self.jumps = jumps  # filtration index -> dims[i] - dims[i - 1] > 0
+
+    @property
+    def dims(self):
+        """Filtration index -> dimension, nondecreasing, up to the first
+        index where it is total."""
+        dims = {}
+        dim = 0
+        for i in range(max(self.jumps, default=-1) + 1):
+            dim += self.jumps.get(i, 0)
+            dims[i] = dim
+        return dims
 
     def graded_poly(self):
         res = QPoly()
@@ -517,7 +547,7 @@ class FiltrationProfile:
     def __eq__(self, other):
         if not isinstance(other, FiltrationProfile):
             return NotImplemented
-        return (self.weight == other.weight and self.dims == other.dims
+        return (self.weight == other.weight and self.jumps == other.jumps
                 and self.total == other.total)
 
     def __repr__(self):
@@ -543,11 +573,10 @@ def _layer_rows(rep):
     filtration-sweep round this hands _eliminate 5,704 rows where a
     coordinate row at every index handed it 11,111; 5,505 are kept either
     way.)  Returns {d: [(label, row), ...]}, labels decreasing.  The memo
-    is keyed on the module alone: e is always the principal_e of rep.
+    is keyed on the module alone: e is always rep.e.
     """
-    e = principal_e(rep)
     # e transposed: the coordinate row of each target basis vector
-    e_rows = op_transpose(e)
+    e_rows = op_transpose(rep.e)
     out = {}
     for d in sorted(rep.layers, reverse=True):
         above = out.get(d + 2, ())
@@ -574,14 +603,14 @@ def bk_filtration(rep, lam):
     and filled in between.  The ranks stop at the first label whose rank
     is dim V_lam: every lower label's rows include those rows, so their
     rank is dim V_lam too and dims is 0 below that label.  The profile
-    keeps the jumps of dims, which are the steps between those ranks.
+    keeps only the jumps of dims, which are the steps between those ranks.
     """
     require_instance(rep, MatrixRep, "module")
     lam = require_weight(rep.datum, lam)
     cols = rep.weight_spaces.get(lam, [])
     m = len(cols)
     if m == 0:
-        return FiltrationProfile(lam, {}, 0, {})
+        return FiltrationProfile(lam, 0, {})
     layer = _layer_rows(rep).get(rep.datum.pair_2rho_check(lam), ())
     ranks = []  # (label, rank of the rows labelled >= label), top down
     above = []
@@ -595,18 +624,15 @@ def bk_filtration(rep, lam):
             if rank == m:
                 break
     # dims is m - rank on [start, label), one run per label, bottom up
-    dims = {}
     jumps = {}
     start = prev = 0
     for label, rank in reversed(ranks):
         value = m - rank
         if value > prev:
             jumps[start] = value - prev
-        dims.update(dict.fromkeys(range(start, label), value))
         start, prev = label, value
     jumps[start] = m - prev
-    dims[start] = m
-    return FiltrationProfile(lam, dims, m, jumps)
+    return FiltrationProfile(lam, m, jumps)
 
 
 def bk_profile_all_weights(rep):

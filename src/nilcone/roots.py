@@ -26,7 +26,7 @@ from math import prod
 from operator import add, mul, sub
 
 from .errors import (ConfigurationError, DomainError, require_indices,
-                     require_weight)
+                     require_int, require_items, require_weight)
 
 # name -> (cartan A with A[i][j] = <alpha_j, alpha_i-check>, symmetrizers d_i,
 #          lattice kind, expected number of positive roots)
@@ -512,16 +512,17 @@ class RootDatum:
         return tuple(self.simple_pairing(weight, i) for i in range(self.rank))
 
     def weight_from_pairing(self, coords):
-        """Inverse of pairing_coords; DomainError if not in the lattice,
-        and on a Levi, whose rank-many pairings fix no weight."""
+        """Inverse of pairing_coords on rank ints (not bools); DomainError
+        otherwise, if not in the lattice, and on a Levi, whose rank-many
+        pairings fix no weight."""
         if self.parent is not None:
             raise DomainError("pairing coordinates of the Levi %s do not "
                               "determine a weight" % self.name)
-        coords = list(coords)
-        if len(coords) != self.rank:
-            raise DomainError("expected %d coordinates" % self.rank)
+        coords = require_items(coords, "pairing coordinates", self.rank)
+        for c in coords:
+            require_int(c, "pairing coordinate", None, None)
         if self.basis == "fundamental":
-            return tuple(int(c) for c in coords)
+            return coords
         # root basis: solve sum_j x_j <alpha_j, alpha_i-check> = c_i
         out = _integral_solution(self._cartan_inverse, coords)
         if out is None:

@@ -15,7 +15,7 @@ from nilcone.characters import irreducible_character, weyl_dimension
 from nilcone.reps import (build_irrep, principal_e, centralizer_and_exponents,
                           bk_filtration, bk_profile_all_weights,
                           verify_theorem_filtrations, poincare_gr,
-                          op_compose, op_apply, op_commutator,
+                          op_add, op_compose, op_apply, op_commutator,
                           op_transpose, fraction_solve, int_columns_rank,
                           _eliminate, _hermite, _layer_rows, MatrixRep)
 from nilcone import reps
@@ -274,7 +274,7 @@ def test_one_elimination_per_weight_space(preset, coords, monkeypatch):
     """A build picks each weight space's Z-basis and every candidate's
     coordinates over it with one reduction, through one fraction_solve call
     (the call the benchmark's layer map records), and makes no
-    elimination."""
+    elimination.  A weight space with one candidate needs no _hermite."""
     import nilcone.reps
     datum = build_datum(preset)
     lam = datum.weight_from_pairing(coords)
@@ -295,8 +295,13 @@ def test_one_elimination_per_weight_space(preset, coords, monkeypatch):
     monkeypatch.setattr(nilcone.reps, "_eliminate", forbidden)
     rep = nilcone.reps._build_irrep(datum, lam)
     below_top = len(rep.weight_spaces) - 1
-    assert calls == {"_hermite": below_top, "fraction_solve": below_top}
-    assert below_top > 1
+    # the candidates f_i b of mu: one per basis vector b of each mu + alpha_i
+    several = sum(
+        sum(len(rep.weight_spaces.get(tuple(m + a for m, a in zip(mu, root)),
+                                      ())) for root in datum.simple_roots) > 1
+        for mu in rep.weight_spaces if mu != lam)
+    assert calls == {"_hermite": several, "fraction_solve": below_top}
+    assert below_top > several > 1
 
 
 @pytest.mark.parametrize("column", [{0: 3, 2: -6}, {1: -2, 4: 5}, {}])
@@ -310,6 +315,67 @@ def test_one_column_matches_the_general_reduction(column):
     general_basis, general_coords = fraction_solve([column, {}])
     assert (basis, coords) == (general_basis, general_coords[:1])
     assert all(type(v) is int for x in coords for v in x.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.integers(0, 5),
+                       st.integers(-9, 9).filter(bool), max_size=4))
+@example({})
+def test_one_column_elimination_matches_the_general_loop(column):
+    """_eliminate and fraction_solve return for one column, zero or not,
+    exactly what their general loops return for it.  The general loops run
+    on the column padded with a zero column; columns are reduced in order,
+    so the padding leaves the first column's results alone, and in kernel
+    mode it only adds its own kernel vector, last, and a last coordinate."""
+    kept, kernel = _eliminate([column, {}])
+    assert _eliminate([column]) == (kept, kernel) == \
+        (({0: column} if column else {}), [])
+    kept, kernel = _eliminate([column, {}], 6)
+    assert kernel[-1] == [0, 1]
+    assert _eliminate([column], 6) == (kept, [v[:1] for v in kernel[:-1]])
+    basis, coords = fraction_solve([column, {}])
+    assert fraction_solve([column]) == (basis, coords[:1])
+
+
+def test_module_keeps_its_principal_nilpotent():
+    """The builder writes every column of e = sum of the e_i once, as
+    rep.e: it equals the sum of e_ops on every module of dimension <= 60."""
+    for name in supported_presets():
+        datum = build_datum(name)
+        for lam in dominant_weights_with_dim_cap(datum, 60):
+            rep = build_irrep(datum, lam)
+            total = {}
+            for op in rep.e_ops:
+                total = op_add(total, op)
+            assert rep.e == total, (name, lam)
+
+
+def test_principal_e_is_a_copy(b2):
+    """Changing what principal_e returns changes neither the module's e
+    nor its kernel filtrations."""
+    rep = build_irrep(b2, (1, 1))
+    before = {c: dict(col) for c, col in rep.e.items()}
+    e = principal_e(rep)
+    for col in e.values():
+        col.clear()
+    e[0] = {0: 5}
+    assert rep.e == before == principal_e(rep)
+    profiles = bk_profile_all_weights(rep)
+    assert profiles == bk_profile_all_weights(build_irrep(b2, (1, 1)))
+    assert all(p.graded_poly() == p_bk_polynomial(b2, (1, 1), w)
+               for w, p in profiles.items())
+
+
+def test_centralizer_lists_are_fresh(a2):
+    """Changing the lists centralizer_and_exponents returns changes
+    neither its next result nor poincare_gr, which reads the exponents."""
+    series = poincare_gr(a2, 6)
+    elements, exponents = centralizer_and_exponents(a2)
+    elements.pop()
+    exponents.append(1)
+    assert centralizer_and_exponents(a2)[1] == [1, 2]
+    assert len(centralizer_and_exponents(a2)[0]) == 2
+    assert poincare_gr(a2, 6) == series
 
 
 # SHA-256 of the sorted-key JSON exports of every module of dimension
@@ -585,7 +651,7 @@ def test_every_memo_is_an_lru_cache(a2):
     principal_e(rep)
     centralizer_and_exponents(a2)[0][0].realize(rep)
     fresh = MatrixRep(rep.datum, rep.highest_weight, rep.basis, rep.e_ops,
-                      rep.f_ops)
+                      rep.f_ops, rep.e)
     assert set(vars(rep)) == set(vars(fresh))
     memos = {}
     for name, module in list(sys.modules.items()):

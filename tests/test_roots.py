@@ -217,6 +217,17 @@ def test_root_coordinates_round_trip(preset, coords, denom, k):
     assert levi.root_coordinates(half) is None
 
 
+@pytest.mark.parametrize("preset,coords", [
+    ("A2-sc", (1.7, 0)),  # was truncated to (1, 0)
+    ("A2-sc", (1, "x")),  # raised ValueError
+    ("A2-adj", (3.0, 0.0)),  # returned floats
+    ("A2-adj", (True, 1)),  # was accepted
+])
+def test_weight_from_pairing_refuses_non_int_coordinates(preset, coords):
+    with pytest.raises(DomainError):
+        build_datum(preset).weight_from_pairing(coords)
+
+
 def test_weight_from_pairing_rejects_levi():
     # a Levi's weights have weight_dim entries; its rank-many pairing
     # coordinates do not determine one
