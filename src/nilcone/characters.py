@@ -74,10 +74,19 @@ def _dominant_mults(datum, lam):
     k >= 1, i.e. T(mu + alpha, alpha) with T(nu, beta) the sum over k >= 0
     of m(nu + k beta)(nu + k beta, beta).  The string sum telescopes,
     T(nu, beta) = m(nu)(nu, beta) + T(nu + beta, beta), and T(w nu, w beta)
-    = T(nu, beta) for w in W, so `tails` keys T on the dominant conjugate of
-    nu and the image of beta, and each (weight, root) pair costs O(1).
-    Every multiplicity T reads sits strictly higher in the pass.
+    = T(nu, beta) for w in W, so `tails` keys T on (w nu, w beta) for the w
+    of simple reflections that makes nu dominant, and each (weight, root)
+    pair costs O(1).  One loop walks each string up from mu + beta only to
+    the first point whose T is known or that is no weight, above which none
+    is: the string through a weight is unbroken, and the point lies above
+    one.  (nu, beta) is d_beta <nu, beta-check>, from the precomputed
+    (beta, beta-check, d_beta) of each positive root, which on a Levi datum
+    are the Levi's own.  Every multiplicity T reads sits strictly higher in
+    the pass.
     """
+    roots = [(root.weight, root.coroot, root.length_sq_half)
+             for root in datum.positive_roots()]
+    simple_pairs = datum.simple_pairs
     mults = {}
     tails = {}
     for mu in sorted(_dominant_weights_below(datum, lam),
@@ -85,8 +94,37 @@ def _dominant_mults(datum, lam):
         if mu == lam:
             mults[mu] = 1
             continue
-        total = sum(_tail(datum, mults, tails, _vec_add(mu, root.weight), root)
-                    for root in datum.positive_roots())
+        total = 0
+        for beta, coroot, d in roots:
+            nu = _vec_add(mu, beta)
+            pending = []
+            while True:
+                # (w nu, w beta), one simple reflection at a time
+                key_nu, key_beta = nu, beta
+                while True:
+                    for check, alpha in simple_pairs:
+                        c = _dot(key_nu, check)
+                        if c < 0:
+                            key_nu = _vec_sub(key_nu, _vec_scale(c, alpha))
+                            key_beta = _vec_sub(key_beta, _vec_scale(
+                                _dot(key_beta, check), alpha))
+                            break
+                    else:
+                        break
+                key = key_nu, key_beta
+                tail = tails.get(key)
+                if tail is not None:
+                    break
+                m = mults.get(key_nu)
+                if m is None:
+                    tail = 0
+                    break
+                pending.append((key, m * d * _dot(nu, coroot)))
+                nu = _vec_add(nu, beta)
+            for key, term in reversed(pending):
+                tail += term
+                tails[key] = tail
+            total += tail
         # denominator |lam+rho|^2 - |mu+rho|^2 = B(lam+mu+2rho, lam-mu)
         lam_mu_2rho = _vec_add(_vec_add(lam, mu), datum.two_rho)
         denom = datum.inner_product_with_root_vector(
@@ -95,43 +133,6 @@ def _dominant_mults(datum, lam):
         assert remainder == 0
         mults[mu] = value
     return mults
-
-
-def _tail(datum, mults, tails, nu, root):
-    """T(nu, root), walking up the root string only to the first point
-    whose T is known or that is no weight, above which none is: the string
-    through a weight is unbroken, and nu lies above one.  Iterative, so a
-    long string costs no recursion depth."""
-    pending = []
-    while True:
-        key = _dominant_key(datum, nu, root.weight)
-        total = tails.get(key)
-        if total is not None:
-            break
-        m = mults.get(key[0])
-        if m is None:
-            total = 0
-            break
-        pending.append(
-            (key, m * datum.inner_product_with_root_vector(nu, root.root_coords)))
-        nu = _vec_add(nu, root.weight)
-    for key, term in reversed(pending):
-        total += term
-        tails[key] = total
-    return total
-
-
-def _dominant_key(datum, nu, beta):
-    """(w nu, w beta) for the w that makes nu dominant, by the simple
-    reflections of `dominant_representative` applied to both."""
-    while True:
-        for i in range(datum.rank):
-            if datum.simple_pairing(nu, i) < 0:
-                nu = datum.reflect(nu, i)
-                beta = datum.reflect(beta, i)
-                break
-        else:
-            return nu, beta
 
 
 def irreducible_character(datum, lam):

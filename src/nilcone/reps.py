@@ -9,14 +9,17 @@ Z-basis of V(mu + alpha_i), so they span L(mu) over Z.  In an irreducible
 module no nonzero vector of weight mu below the highest weight is killed by
 every e_j (it would generate a proper submodule), so e maps L(mu)
 isomorphically onto the lattice of the candidates' e-images, which are
-integer vectors over the bases above.  One unimodular reduction of those
-images per weight space (:func:`_hermite`) gives a Z-basis of that lattice,
-hence of L(mu), and back-substitution gives every candidate's integer
-coordinates over it (:func:`fraction_solve`).  The rows of the e_i lie in
+integer vectors over the bases above, formed in one pass per weight space
+(:func:`_build_irrep`).  One unimodular reduction of those images per
+weight space (:func:`_hermite`) gives a Z-basis of that lattice, hence of
+L(mu), and back-substitution gives every candidate's integer coordinates
+over it (:func:`fraction_solve`); both reduce their own copies of the
+columns in place (:func:`_subtract`).  The rows of the e_i lie in
 different weight spaces, so each Z-basis image is one whole column of the
 principal nilpotent e = sum e_i: the module keeps them as MatrixRep.e, and
 the builder, the kernel filtrations, the centralizer and the slice route
-read e from there.
+read e from there.  MatrixRep.validate checks [e_i, f_j] = delta_ij h_i by
+:func:`op_commutator`, which forms ab - ba one column at a time.
 
 Ranks, the centralizer kernel and the kernel filtration rows go through one
 fraction-free integer elimination, :func:`_eliminate`.  Both reductions
@@ -46,7 +49,7 @@ from operator import itemgetter
 from .errors import (ResourceError, require_dominant, require_instance,
                      require_int, require_weight)
 from .qpoly import QPoly
-from .roots import RootDatum, _vec_add
+from .roots import RootDatum, _dot, _vec_add
 from .characters import irreducible_character, weyl_dimension, _character
 
 DEFAULT_DIM_CAP = 400
@@ -82,33 +85,39 @@ def op_transpose(op):
     return out
 
 
+def _subtract(col, piv, q):
+    """col -= q * piv, in place, on sparse integer columns."""
+    for k, v in piv.items():
+        s = col.get(k, 0) - q * v
+        if s:
+            col[k] = s
+        else:
+            col.pop(k, None)
+
+
 def op_add(a, b, coeff=1):
     out = {c: dict(col) for c, col in a.items()}
     for c, col in b.items():
         tgt = out.setdefault(c, {})
-        for r, v in col.items():
-            s = tgt.get(r, 0) + coeff * v
-            if s:
-                tgt[r] = s
-            else:
-                tgt.pop(r, None)
+        _subtract(tgt, col, -coeff)
         if not tgt:
             del out[c]
     return out
 
 
-def op_compose(a, b):
-    """a after b, both {col: {row: val}}."""
-    out = {}
-    for c, col in b.items():
-        img = op_apply(a, col)
-        if img:
-            out[c] = img
-    return out
-
-
 def op_commutator(a, b):
-    return op_add(op_compose(a, b), op_compose(b, a), -1)
+    """ab - ba, one column at a time: column c is a(b e_c) - b(a e_c),
+    accumulated in one dict that drops entries as they cancel; neither
+    product is formed whole."""
+    out = {}
+    for c in a.keys() | b.keys():
+        col = op_apply(a, b[c]) if c in b else {}
+        for t, x in a.get(c, {}).items():
+            if t in b:
+                _subtract(col, b[t], x)
+        if col:
+            out[c] = col
+    return out
 
 
 def _strip_column(col):
@@ -178,18 +187,6 @@ def int_columns_rank(columns):
     return len(_eliminate(columns)[0])
 
 
-def _add_multiple(col, piv, q):
-    """The sparse column col + q * piv."""
-    out = dict(col)
-    for k, v in piv.items():
-        s = out.get(k, 0) + q * v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
 def _hermite(columns):
     """An echelon Z-basis of the lattice integer sparse columns span.
 
@@ -201,14 +198,18 @@ def _hermite(columns):
     each pivot is size-reduced at the pivot rows of the ones after it, as
     for the Hermite normal form (H. Cohen, GTM 138, §2.4); without that,
     entries of the B2-sc module V(1, 4) reached 496 bits, and with it no
-    module of dimension <= 120 needs 20.  Returns the pivots by row.
+    module of dimension <= 120 needs 20.  Every step works in place
+    (:func:`_subtract`) on a copy of each column taken once, so the caller's
+    columns are left alone.  Returns the pivots by row.
     """
     pivots = {}  # pivot row -> column, positive at that row
     for col in columns:
+        col = dict(col)
         while col:
             r = min(col)
             if col[r] < 0:
-                col = {k: -v for k, v in col.items()}
+                for k in col:
+                    col[k] = -col[k]
             piv = pivots.get(r)
             if piv is None:
                 pivots[r] = col
@@ -216,7 +217,7 @@ def _hermite(columns):
             if col[r] < piv[r]:
                 pivots[r], col, piv = col, piv, col
             p = piv[r]
-            col = _add_multiple(col, piv, -((2 * col[r] + p) // (2 * p)))
+            _subtract(col, piv, (2 * col[r] + p) // (2 * p))
     rows = sorted(pivots)
     basis = [pivots[r] for r in rows]
     for s in range(len(basis) - 2, -1, -1):
@@ -224,7 +225,7 @@ def _hermite(columns):
             p = basis[t][rows[t]]
             q = (2 * basis[s].get(rows[t], 0) + p) // (2 * p)
             if q:
-                basis[s] = _add_multiple(basis[s], basis[t], -q)
+                _subtract(basis[s], basis[t], q)
     return basis
 
 
@@ -235,10 +236,11 @@ def fraction_solve(columns):
 
     coords[j] maps positions t in basis to ints x[t] with
     columns[j] = sum_t x[t] basis[t], read by back-substitution down the
-    pivot rows.  The name predates the integer models; it stays because
-    bench/tracing.py records the builder's one call per weight space by it.
-    A single nonzero column is its own basis, made positive at its first
-    row, with coordinate +1 or -1, as _hermite would give it.
+    pivot rows, which reduces a copy of the column in place.  The name
+    predates the integer models; it stays because bench/tracing.py records
+    the builder's one call per weight space by it.  A single nonzero column
+    is its own basis, made positive at its first row, with coordinate +1 or
+    -1, as _hermite would give it.
     """
     if len(columns) == 1 and columns[0]:
         col = columns[0]
@@ -249,14 +251,15 @@ def fraction_solve(columns):
     pos = {min(b): t for t, b in enumerate(basis)}
     coords = []
     for col in columns:
+        col = dict(col)
         x = {}
         while col:
             r = min(col)
             t = pos.get(r)
             assert t is not None and col[r] % basis[t][r] == 0, \
                 "a column outside the lattice of its own basis"
-            x[t] = col[r] // basis[t][r]
-            col = _add_multiple(col, basis[t], -x[t])
+            x[t] = q = col[r] // basis[t][r]
+            _subtract(col, basis[t], q)
         coords.append(x)
     return basis, coords
 
@@ -282,11 +285,12 @@ class MatrixRep:
             self.layers.setdefault(datum.pair_2rho_check(w), []).extend(idxs)
 
     def h_op(self, i):
+        """h_i, diagonal: one pairing per weight space, not per vector."""
         out = {}
-        for idx, (w, _) in enumerate(self.basis):
+        for w, idxs in self.weight_spaces.items():
             c = self.datum.simple_pairing(w, i)
             if c:
-                out[idx] = {idx: c}
+                out.update((idx, {idx: c}) for idx in idxs)
         return out
 
     def validate(self):
@@ -341,9 +345,16 @@ def build_irrep(datum, lam, dim_cap=DEFAULT_DIM_CAP):
 
 
 def _build_irrep(datum, lam):
+    """V_lam for a dominant lam, built and validated.  Each weight space mu
+    below lam takes one pass over the directions i with mu + alpha_i a
+    weight: their slots are looked up once, h_i(mu + alpha_i) is one _dot,
+    and each candidate's e-image drops its entries as they cancel
+    (:func:`_subtract`), so it goes to fraction_solve as built.  No nonzero vector below lam is killed
+    by every e_j, so a Z-basis of the e-images is the e-image of a Z-basis
+    of L(mu), and every candidate's coords over it are those of its
+    e-image."""
     char = _character(datum, lam)
     rank = datum.rank
-    simple = datum.simple_roots
     # the basis in its final order: descending principal degree, then weight,
     # then slot; every mu + alpha_j comes before mu, so the build can go
     # down it in this order and write the operators in final indices
@@ -358,27 +369,27 @@ def _build_irrep(datum, lam):
     f_ops = [{} for _ in range(rank)]
     e = {}  # each image below is one whole column of e = sum of e_ops
     for mu in order[1:]:
-        ups = [slots.get(_vec_add(mu, simple[j]), ()) for j in range(rank)]
-        direction = {r: j for j in range(rank) for r in ups[j]}
         # f_i b for each basis vector b of mu + alpha_i, and its e-image,
         # whose rows are the basis indices of the spaces mu + alpha_j
+        direction = {}  # basis index of mu + alpha_j -> j
         cands = []
         columns = []
-        for i in range(rank):
-            h = datum.simple_pairing(mu, i) + 2  # h_i on mu + alpha_i
+        for i, (coroot, root) in enumerate(datum.simple_pairs):
+            up = slots.get(_vec_add(mu, root))
+            if up is None:
+                continue
+            h = _dot(mu, coroot) + 2  # h_i on mu + alpha_i
             f = f_ops[i]
-            for b in ups[i]:
+            for b in up:
+                direction[b] = i
                 # e f_i b = f_i e b + h_i b: the sum over j of
                 # e_j f_i b = f_i e_j b + delta_ij h_i b
-                col = {b: h}
+                col = {b: h} if h else {}
                 for t, c in e.get(b, {}).items():
-                    for r, v in f.get(t, {}).items():
-                        col[r] = col.get(r, 0) + c * v
+                    if t in f:
+                        _subtract(col, f[t], -c)
                 cands.append((i, b))
-                columns.append({r: v for r, v in col.items() if v})
-        # no nonzero vector below lam is killed by every e_j, so a Z-basis
-        # of the e-images is the e-image of a Z-basis of L(mu), and every
-        # candidate's coords over it are those of its e-image
+                columns.append(col)
         images, coords = fraction_solve(columns)
         assert len(images) == char[mu], \
             "could not span weight space %r of V_%r" % (mu, lam)
@@ -440,7 +451,8 @@ def realize_root_vector(rep, chain):
 
 class CentralizerElement:
     """Element of the centralizer of e, as coefficients over bracket recipes
-    of positive root vectors (:func:`_pos_root_tree`)."""
+    of positive root vectors (:func:`_pos_root_tree`).  items and coeffs are
+    tuples: the memo hands the same elements to every caller."""
 
     __slots__ = ("degree", "items", "coeffs")
 
@@ -502,7 +514,8 @@ def _centralizer_and_exponents(datum):
                     col[cell_index[(c, r)]] = v
             cols.append(col)
         for coeffs in _eliminate(cols, rows)[1]:
-            elements.append(CentralizerElement(2 * m, group, coeffs))
+            elements.append(
+                CentralizerElement(2 * m, tuple(group), tuple(coeffs)))
 
     exponents = tuple(el.degree // 2 for el in elements)
     assert len(exponents) == datum.rank

@@ -69,6 +69,22 @@ def test_freudenthal_matches_weyl_character_formula(preset, bound):
             continue
         assert weyl_character_oracle(datum, lam) == \
             irreducible_character(datum, lam), lam
+    # every proper Levi, the torus included, over the weights whose pairing
+    # coordinates lie in [-2, 2]: Freudenthal reads the Levi's own coroots
+    # and root lengths, as branching and the tensor checks run it
+    box = []
+    for coords in product(range(-2, 3), repeat=datum.rank):
+        try:
+            box.append(datum.weight_from_pairing(coords))
+        except DomainError:
+            continue
+    for size in range(datum.rank):
+        for subset in combinations(range(datum.rank), size):
+            levi = datum.levi(subset)
+            for lam in box:
+                if levi.is_dominant(lam):
+                    assert weyl_character_oracle(levi, lam) == \
+                        irreducible_character(levi, lam), (subset, lam)
 
 
 def _long_division_oracle(datum, lam):

@@ -427,7 +427,7 @@ def test_slice_route_on_a_levi_of_type_a1_a1(a3):
     levi = a3.levi((0, 2))
     elements, exponents = centralizer_and_exponents(levi)
     assert exponents == [1, 1]
-    assert sorted(el.coeffs for el in elements) == [[0, 1], [1, 0]]
+    assert sorted(el.coeffs for el in elements) == [(0, 1), (1, 0)]
     weights = [(0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1), (2, 0, 1),
                (0, 1, 0), (2, 1, 2)]
     for lam in weights:

@@ -15,7 +15,7 @@ from nilcone.characters import irreducible_character, weyl_dimension
 from nilcone.reps import (build_irrep, principal_e, centralizer_and_exponents,
                           bk_filtration, bk_profile_all_weights,
                           verify_theorem_filtrations, poincare_gr,
-                          op_add, op_compose, op_apply, op_commutator,
+                          op_add, op_apply, op_commutator,
                           op_transpose, fraction_solve, int_columns_rank,
                           _eliminate, _hermite, _layer_rows, MatrixRep)
 from nilcone import reps
@@ -28,7 +28,8 @@ def _nilpotency_index(op, dim):
     power = op
     k = 1
     while any(col for col in power.values()):
-        power = op_compose(op, power)
+        power = {c: img for c, col in power.items()
+                 if (img := op_apply(op, col))}
         k += 1
         assert k <= dim + 1
     return k
@@ -128,6 +129,62 @@ def test_exponents(preset, expected):
     e = principal_e(adj)
     for el in elements:
         assert op_commutator(el.realize(adj), e) == {}
+
+
+def test_centralizer_elements_cannot_be_changed_by_a_caller(a2):
+    """The memo hands its own elements to every caller, so their recipes
+    and coefficients are tuples: assigning into one raises, and later
+    calls see the same elements."""
+    def snapshot():
+        return [(el.degree, tuple(el.items), tuple(el.coeffs))
+                for el in centralizer_and_exponents(a2)[0]]
+    before = snapshot()
+    element = centralizer_and_exponents(a2)[0][0]
+    with pytest.raises(TypeError):
+        element.coeffs[0] = 7
+    with pytest.raises(TypeError):
+        element.items[0] = (1,)
+    assert snapshot() == before
+    assert [el.coeffs for el in centralizer_and_exponents(a2)[0]] == \
+        [(-1, -1), (1,)]
+
+
+@pytest.mark.parametrize("preset,coords",
+                         [("A2-sc", (1, 1)), ("B2-sc", (1, 0)), ("G2", (1, 0))])
+def test_validate_catches_every_single_entry_corruption(preset, coords):
+    """validate raises at a commutator [e_i, f_j] after any one entry of an
+    e_i or f_j is changed by +1 or -1, and after one new entry in a wrong
+    weight space (the highest-weight vector mapped to itself)."""
+    datum = build_datum(preset)
+    rep = build_irrep(datum, datum.weight_from_pairing(coords))
+
+    def corrupted(side, i, c, r, delta):
+        ops = [{col: dict(rows) for col, rows in op.items()}
+               for op in getattr(rep, side)]
+        col = ops[i].setdefault(c, {})
+        value = col.get(r, 0) + delta
+        if value:
+            col[r] = value
+        else:
+            del col[r]
+        if not col:
+            del ops[i][c]
+        e_ops, f_ops = ((ops, rep.f_ops) if side == "e_ops"
+                        else (rep.e_ops, ops))
+        return MatrixRep(datum, rep.highest_weight, rep.basis, e_ops, f_ops,
+                         rep.e)
+
+    cases = []
+    for side in ("e_ops", "f_ops"):
+        for i, op in enumerate(getattr(rep, side)):
+            cases += [(side, i, c, r, delta) for c, col in op.items()
+                      for r in col for delta in (1, -1)]
+            cases.append((side, i, 0, 0, 1))
+    assert len(cases) > 4 * datum.rank
+    for case in cases:
+        with pytest.raises(AssertionError, match=r"\[e_\d+, f_\d+\] failed"):
+            corrupted(*case).validate()
+    assert rep.validate()
 
 
 def test_centralizer_elements_transfer_to_other_modules(a2):
@@ -397,6 +454,25 @@ def test_exports_are_byte_identical_up_to_dimension_60():
             count += 1
     assert count == 174
     assert digest.hexdigest() == _EXPORTS_UP_TO_60
+
+
+# sha256 over to_json() of every module of the benchmark's filtration-sweep
+# pool: dimension <= 120 on A1-sc, A2-sc and B2-sc, 200 modules
+_FILTRATION_POOL_EXPORTS = \
+    "04ae9e2d2e71ad2e87a954550d4377b09f574a759f7ececd1ed9b4ce99939791"
+
+
+def test_exports_are_byte_identical_on_the_filtration_sweep_pool():
+    digest = hashlib.sha256()
+    count = 0
+    for name in ("A1-sc", "A2-sc", "B2-sc"):
+        datum = build_datum(name)
+        for lam in dominant_weights_with_dim_cap(datum, 120):
+            export = build_irrep(datum, lam).to_json()
+            digest.update(json.dumps(export, sort_keys=True).encode())
+            count += 1
+    assert count == 200
+    assert digest.hexdigest() == _FILTRATION_POOL_EXPORTS
 
 
 # -- the elimination routine against a plain Fraction Gauss-Jordan ------------
@@ -678,7 +754,7 @@ def test_weyl_character_oracle_stays_independent():
         codes.extend(c for c in code.co_consts if hasattr(c, "co_names"))
     foreign = {"decompose_character", "heapq", "weyl_dimension",
                "_peel_entry", "irreducible_character", "_dominant_mults",
-               "_tail", "_dominant_key", "_brauer", "_dot_dominant"}
+               "_brauer", "_dot_dominant"}
     assert not names & foreign, sorted(names & foreign)
 
 
