@@ -36,22 +36,27 @@ def _weyl_dim(datum, lam):
 
 
 def _dominant_weights_below(datum, lam):
-    """All dominant mu with lam - mu a nonnegative root combination.
+    """{mu: the root coordinates of lam - mu} over all dominant mu with
+    lam - mu a nonnegative root combination.
 
     Each is reached from lam by steps mu -> mu - alpha, alpha > 0, through
     dominant weights only (J. R. Stembridge, "The partial order of dominant
     weights", Adv. Math. 136, 1998), so a step is kept when it lands on a
-    dominant weight, with no walk to the dominant chamber and no solve."""
-    roots = [root.weight for root in datum.positive_roots()]
-    found = {lam}
+    dominant weight, with no walk to the dominant chamber and no solve.
+    The coordinates of lam - mu are the sum of the steps' root coordinates:
+    the simple roots are independent, so every path gives the same sum."""
+    roots = [(root.weight, root.root_coords)
+             for root in datum.positive_roots()]
+    found = {lam: (0,) * datum.rank}
     frontier = [lam]
     while frontier:
         nxt = []
         for mu in frontier:
-            for alpha in roots:
+            below = found[mu]
+            for alpha, coords in roots:
                 nu = _vec_sub(mu, alpha)
                 if nu not in found and datum.is_dominant(nu):
-                    found.add(nu)
+                    found[nu] = _vec_add(below, coords)
                     nxt.append(nu)
         frontier = nxt
     return found
@@ -82,19 +87,23 @@ def _dominant_mults(datum, lam):
     one.  (nu, beta) is d_beta <nu, beta-check>, from the precomputed
     (beta, beta-check, d_beta) of each positive root, which on a Levi datum
     are the Levi's own.  Every multiplicity T reads sits strictly higher in
-    the pass.
+    the pass.  Once m(mu) is known, T(mu, beta) = m(mu)(mu, beta)
+    + T(mu + beta, beta) is stored for each beta: mu is dominant, so
+    (mu, beta) is its own key, and the walk from mu - beta stops at its
+    first point.  The denominator |lam+rho|^2 - |mu+rho|^2 =
+    B(lam+mu+2rho, lam-mu) reads the root coordinates of lam - mu that
+    _dominant_weights_below summed along its steps, with no solve.
     """
     roots = [(root.weight, root.coroot, root.length_sq_half)
              for root in datum.positive_roots()]
     simple_pairs = datum.simple_pairs
+    diffs = _dominant_weights_below(datum, lam)  # mu -> coords of lam - mu
+    lam_2rho = _vec_add(lam, datum.two_rho)
     mults = {}
     tails = {}
-    for mu in sorted(_dominant_weights_below(datum, lam),
-                     key=datum.pair_2rho_check, reverse=True):
-        if mu == lam:
-            mults[mu] = 1
-            continue
+    for mu in sorted(diffs, key=datum.pair_2rho_check, reverse=True):
         total = 0
+        ups = []  # T(mu + beta, beta) for each beta
         for beta, coroot, d in roots:
             nu = _vec_add(mu, beta)
             pending = []
@@ -124,14 +133,18 @@ def _dominant_mults(datum, lam):
             for key, term in reversed(pending):
                 tail += term
                 tails[key] = tail
+            ups.append(tail)
             total += tail
-        # denominator |lam+rho|^2 - |mu+rho|^2 = B(lam+mu+2rho, lam-mu)
-        lam_mu_2rho = _vec_add(_vec_add(lam, mu), datum.two_rho)
-        denom = datum.inner_product_with_root_vector(
-            lam_mu_2rho, datum.root_coordinates(_vec_sub(lam, mu)))
-        value, remainder = divmod(2 * total, denom)
-        assert remainder == 0
-        mults[mu] = value
+        if mu == lam:
+            m = 1
+        else:
+            denom = datum.inner_product_with_root_vector(
+                _vec_add(lam_2rho, mu), diffs[mu])
+            m, remainder = divmod(2 * total, denom)
+            assert remainder == 0
+        mults[mu] = m
+        for (beta, coroot, d), up in zip(roots, ups):
+            tails[mu, beta] = m * d * _dot(mu, coroot) + up
     return mults
 
 
@@ -142,6 +155,11 @@ def irreducible_character(datum, lam):
 
 @lru_cache(maxsize=None)
 def _character(datum, lam):
+    """The memoised character of V_lam, for a dominant lam: each dominant
+    weight of _dominant_mults is written itself and moved by the
+    non-identity Weyl elements only (weyl_elements()[0] is the identity).
+    With the disk cache on, a stored value is read back and checked first.
+    Callers must not change the dict."""
     dim = weyl_dimension(datum, lam)
     char = request = None
     if cache.enabled():
@@ -149,9 +167,11 @@ def _character(datum, lam):
                    "preset": datum.name, "weight": list(lam)}
         char = _stored_character(datum, cache.fetch(request), dim)
     if char is None:
+        others = datum.weyl_elements()[1:]
         char = {}
         for dom, m in _dominant_mults(datum, lam).items():
-            for w in datum.weyl_elements():
+            char[dom] = m
+            for w in others:
                 char[w.apply(dom)] = m
         if request is not None:
             cache.store(request, sorted([list(w), m] for w, m in char.items()))
@@ -252,13 +272,20 @@ def _restrict(datum, levi, lam):
 def tensor_decompose_on(datum, entries_a, entries_b):
     """Tensor product of two decompositions, summed with multiplicities:
     side b's characters are summed once and side a is decomposed against
-    that sum by the Brauer-Klimyk rule."""
+    that sum by the Brauer-Klimyk rule.  A side b of one entry of
+    multiplicity 1 is its memoised character, read in place: _brauer does
+    not change it."""
     dim_a = sum(mult * weyl_dimension(datum, lam)
                 for lam, mult in entries_a.items())
-    char_b = {}
-    for lam, mult in entries_b.items():
-        for w, m in _character(datum, require_dominant(datum, lam)).items():
-            char_b[w] = char_b.get(w, 0) + mult * m
+    items = list(entries_b.items())
+    if len(items) == 1 and items[0][1] == 1:
+        char_b = _character(datum, require_dominant(datum, items[0][0]))
+    else:
+        char_b = {}
+        for lam, mult in items:
+            for w, m in _character(datum,
+                                   require_dominant(datum, lam)).items():
+                char_b[w] = char_b.get(w, 0) + mult * m
     out = _brauer(datum, entries_a, char_b)
     total = sum(m * _weyl_dim(datum, nu) for nu, m in out.items())
     assert total == dim_a * sum(char_b.values())

@@ -468,7 +468,8 @@ def _reference_dominant_weights_below(datum, lam):
 @pytest.mark.parametrize("preset", supported_presets())
 def test_dominant_steps_reach_every_dominant_weight_below(preset):
     """Steps by positive roots through dominant weights alone (Stembridge)
-    find what the walk-and-solve search finds: on the datum over a pairing
+    find what the walk-and-solve search finds, each with the root
+    coordinates of lam - mu that a solve gives: on the datum over a pairing
     box, and on every proper Levi, the torus included, for Levi-dominant
     weights."""
     import nilcone.characters as ch
@@ -483,8 +484,61 @@ def test_dominant_steps_reach_every_dominant_weight_below(preset):
         weights.discard(None)
         assert weights
         for lam in weights:
-            assert ch._dominant_weights_below(levi, lam) == \
+            below = ch._dominant_weights_below(levi, lam)
+            assert set(below) == \
                 _reference_dominant_weights_below(levi, lam), lam
+            for mu, coords in below.items():
+                assert coords == levi.root_coordinates(_vec_sub(lam, mu)), \
+                    (lam, mu)
+
+
+@pytest.mark.parametrize("preset", supported_presets())
+def test_freudenthal_table_solves_for_no_root_coordinates(preset,
+                                                          monkeypatch):
+    """_dominant_mults reads the root coordinates of lam - mu off the steps
+    of _dominant_weights_below, so it runs with root_coordinates refusing
+    every call and gives the dominant part of the Weyl character formula:
+    on the datum and on every proper Levi, the torus included."""
+    import nilcone.characters as ch
+    from nilcone.roots import RootDatum
+    datum = build_datum(preset)
+    box = range(4 if datum.rank < 3 else 3)
+    proper = [levi for levi in _levis(datum) if levi.rank < datum.rank]
+    cases = []
+    for levi, outside in [(datum, (0,))] + [(levi, range(-1, 2))
+                                            for levi in proper]:
+        levi.positive_roots()  # filled in lazily through root_coordinates
+        weights = {_weight(datum, levi, inside, rest)
+                   for inside in product(box, repeat=datum.rank)
+                   for rest in product(outside, repeat=datum.rank)}
+        weights.discard(None)
+        assert weights
+        for lam in weights:
+            oracle = weyl_character_oracle(levi, lam)
+            cases.append((levi, lam, {mu: m for mu, m in oracle.items()
+                                      if levi.is_dominant(mu)}))
+
+    def refuse(self, vector):
+        raise AssertionError("root_coordinates(%r) called" % (vector,))
+    monkeypatch.setattr(RootDatum, "root_coordinates", refuse)
+    for levi, lam, dominant in cases:
+        assert ch._dominant_mults.__wrapped__(levi, lam) == dominant, \
+            (levi.name, lam)
+
+
+@pytest.mark.parametrize("preset", supported_presets())
+def test_first_weyl_element_is_the_identity(preset):
+    """The character expansion writes each dominant weight itself and
+    applies weyl_elements()[1:] only: on the datum and on every proper
+    Levi, the torus included, element 0 is the identity."""
+    datum = build_datum(preset)
+    n = datum.weight_dim
+    units = [tuple(int(t == k) for t in range(n)) for k in range(n)]
+    for levi in [datum] + [levi for levi in _levis(datum)
+                           if levi.rank < datum.rank]:
+        first = levi.weyl_elements()[0]
+        assert first.word == () and first.sign == 1, levi.name
+        assert [first.apply(u) for u in units] == units, levi.name
 
 
 @pytest.mark.parametrize("subset", [None, (), (0,), (1,)])

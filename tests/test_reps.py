@@ -187,6 +187,31 @@ def test_validate_catches_every_single_entry_corruption(preset, coords):
     assert rep.validate()
 
 
+def test_validate_counts_the_columns_of_each_commutator(a2):
+    """[e_i, f_i] is compared with h_i column by column only on the weight
+    spaces that pair nonzero with alpha_i-check, so an extra column at a
+    weight that pairs to 0 is caught by the column count alone.  On A2-sc
+    (1,1), f_1 gains an entry from the vector of weight alpha_1 to the
+    highest-weight vector: e_1 kills that vector, so [e_1, f_1] changes
+    only in the column of the zero weight space that e_1 maps onto the
+    alpha_1 vector."""
+    rep = build_irrep(a2, (1, 1))
+    (b,) = rep.weight_spaces[a2.simple_roots[1]]
+    f_ops = [{col: dict(rows) for col, rows in op.items()}
+             for op in rep.f_ops]
+    f_ops[1][b][0] = 1
+    bad = MatrixRep(a2, rep.highest_weight, rep.basis, rep.e_ops, f_ops,
+                    rep.e)
+    lhs = op_commutator(bad.e_ops[1], bad.f_ops[1])
+    h = rep.h_op(1)
+    extra = set(lhs) - set(h)
+    assert all(lhs[c] == col for c, col in h.items()) and len(extra) == 1
+    assert a2.simple_pairing(rep.basis[extra.pop()][0], 1) == 0
+    assert not op_commutator(bad.e_ops[0], bad.f_ops[1])
+    with pytest.raises(AssertionError, match=r"\[e_1, f_1\] failed"):
+        bad.validate()
+
+
 def test_centralizer_elements_transfer_to_other_modules(a2):
     rep = build_irrep(a2, (2, 1))
     e = principal_e(rep)
