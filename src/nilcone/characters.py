@@ -12,8 +12,7 @@ product character is built and no constituent's character is expanded.
 
 from functools import lru_cache
 
-from . import cache
-from .errors import DomainError, require_dominant, require_weight
+from .errors import DomainError, require_dominant
 from .roots import _dot, _vec_add, _vec_sub, _vec_scale
 
 
@@ -64,9 +63,10 @@ def _dominant_weights_below(datum, lam):
 
 def weight_multiplicity(datum, lam, mu):
     """dim of the mu weight space of V_lam, read from the one-pass
-    Freudenthal table of the dominant multiplicities of V_lam."""
+    Freudenthal table of the dominant multiplicities of V_lam at the
+    dominant conjugate of mu (dominant_conjugate checks mu)."""
     lam = require_dominant(datum, lam)
-    mu = datum.dominant_representative(require_weight(datum, mu))
+    _, mu = datum.dominant_conjugate(mu)
     return _dominant_mults(datum, lam).get(mu, 0)
 
 
@@ -158,44 +158,16 @@ def _character(datum, lam):
     """The memoised character of V_lam, for a dominant lam: each dominant
     weight of _dominant_mults is written itself and moved by the
     non-identity Weyl elements only (weyl_elements()[0] is the identity).
-    With the disk cache on, a stored value is read back and checked first.
-    Callers must not change the dict."""
-    dim = weyl_dimension(datum, lam)
-    char = request = None
-    if cache.enabled():
-        request = {"op": "irreducible_character", "format": 1,
-                   "preset": datum.name, "weight": list(lam)}
-        char = _stored_character(datum, cache.fetch(request), dim)
-    if char is None:
-        others = datum.weyl_elements()[1:]
-        char = {}
-        for dom, m in _dominant_mults(datum, lam).items():
-            char[dom] = m
-            for w in others:
-                char[w.apply(dom)] = m
-        if request is not None:
-            cache.store(request, sorted([list(w), m] for w, m in char.items()))
-    assert sum(char.values()) == dim
-    return char
-
-
-def _stored_character(datum, stored, dim):
-    """The character in a disk-cache value, or None unless the value is a
-    list of [weight of weight_dim ints, positive int] at distinct weights
-    whose multiplicities add up to dim."""
-    if not isinstance(stored, list):
-        return None
+    It never reaches the disk cache: a stored character read back saves
+    little or loses against this pass, and writing one costs more (see
+    the cache module).  Callers must not change the dict."""
+    others = datum.weyl_elements()[1:]
     char = {}
-    for entry in stored:
-        if not (isinstance(entry, list) and len(entry) == 2
-                and isinstance(entry[0], list)
-                and len(entry[0]) == datum.weight_dim
-                and all(type(c) is int for c in entry[0])
-                and type(entry[1]) is int and entry[1] > 0):
-            return None
-        char[tuple(entry[0])] = entry[1]
-    if len(char) != len(stored) or sum(char.values()) != dim:
-        return None
+    for dom, m in _dominant_mults(datum, lam).items():
+        char[dom] = m
+        for w in others:
+            char[w.apply(dom)] = m
+    assert sum(char.values()) == weyl_dimension(datum, lam)
     return char
 
 

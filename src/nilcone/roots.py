@@ -385,17 +385,6 @@ class RootDatum:
             ints.append(x.numerator)
         return _integral_solution(self._root_inverse, ints)
 
-    def dominant_representative(self, weight):
-        """The dominant Weyl conjugate, by repeated simple reflections."""
-        w = tuple(weight)
-        while True:
-            for i in range(self.rank):
-                if self.simple_pairing(w, i) < 0:
-                    w = self.reflect(w, i)
-                    break
-            else:
-                return w
-
     def _length_sq_half(self, root_coords):
         # (gamma,gamma)/2 with B(alpha_i,alpha_j) = d_i * A[i][j]; B is even
         # on the root lattice (B(alpha_i,alpha_i) = 2 d_i), so this is exact

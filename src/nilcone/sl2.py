@@ -54,6 +54,8 @@ class FlagTable:
         return out
 
     def __eq__(self, other):
+        if not isinstance(other, FlagTable):
+            return NotImplemented
         return (self.kind == other.kind and self.label == other.label
                 and self.layers == other.layers
                 and self.delta_flag == other.delta_flag)

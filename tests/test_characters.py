@@ -251,6 +251,27 @@ def test_memo_tables_are_pure_caches(a2):
         assert call(*args) == expected
 
 
+def test_characters_never_ask_the_disk_cache(tmp_path, monkeypatch, a2):
+    """With NILCONE_CACHE_DIR set, cold characters, tensor products,
+    branchings and module builds are computed without a disk-cache fetch
+    or store, and the directory stays empty."""
+    import nilcone.characters as ch
+    from nilcone import cache
+
+    def refuse(*args):
+        raise AssertionError("the disk cache was asked")
+    monkeypatch.setenv("NILCONE_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(cache, "fetch", refuse)
+    monkeypatch.setattr(cache, "store", refuse)
+    for memo in (ch._character, ch._dominant_mults, ch._restrict):
+        memo.cache_clear()
+    assert sum(irreducible_character(a2, (2, 1)).values()) == 15
+    assert tensor_decompose(a2, (1, 0), (0, 1)) == {(1, 1): 1, (0, 0): 1}
+    assert restrict_to_levi(a2, (0,), (1, 0)) == {(1, 0): 1, (0, -1): 1}
+    assert build_irrep(a2, (1, 1)).dim == 8
+    assert not list(tmp_path.iterdir())
+
+
 # -- Weyl dimension and the peel-off against independent references ------------
 
 def _levis(datum):
@@ -415,7 +436,7 @@ def _reference_mult(datum, lam, mu, memo):
                 string.append(_vec_add(string[-1], root.weight))
             for nu in reversed(string[1:]):
                 m = _reference_mult(datum, lam,
-                                    datum.dominant_representative(nu), memo)
+                                    datum.dominant_conjugate(nu)[1], memo)
                 total += m * datum.inner_product_with_root_vector(
                     nu, root.root_coords)
         value, remainder = divmod(2 * total, denom)
@@ -456,7 +477,7 @@ def _reference_dominant_weights_below(datum, lam):
                 continue
             found.add(mu)
             for root in datum.positive_roots():
-                dom = datum.dominant_representative(_vec_sub(mu, root.weight))
+                _, dom = datum.dominant_conjugate(_vec_sub(mu, root.weight))
                 coords = datum.root_coordinates(_vec_sub(lam, dom))
                 if coords is not None and all(c >= 0 for c in coords) \
                         and dom not in found:

@@ -214,14 +214,27 @@ def test_cache_dir_round_trip(tmp_path, capsys, monkeypatch):
         assert _capture(capsys, argv) == (0, first, ""), payload
 
 
+def test_tensor_and_branch_leave_the_cache_dir_empty(tmp_path, capsys,
+                                                     monkeypatch):
+    """Characters are never written to disk: with NILCONE_CACHE_DIR set,
+    cold tensor and branch calls store nothing."""
+    from nilcone.characters import _character, _restrict
+    monkeypatch.setenv("NILCONE_CACHE_DIR", str(tmp_path))
+    for argv in (["tensor", "--preset", "A2-sc", "--lhs", "1,1",
+                  "--rhs", "1,0"],
+                 ["branch", "--preset", "A2-sc", "--subset", "0",
+                  "--weight", "2,1"]):
+        _character.cache_clear()
+        _restrict.cache_clear()
+        code, out, err = _capture(capsys, argv)
+        assert code == 0 and out and not err
+        assert not list(tmp_path.iterdir()), argv
+
+
 _TAMPERED = {
     "lusztig_q_analog": [
         [[1, "5"], [7, "-3"]], [[-1, "1"]], [[1, "x"]], [[1, 2]],
         [[1.0, "1"]], [[1, "1", 0]], "garbage", {"1": "1"}],
-    "irreducible_character": [
-        "garbage", [[[0, 0], 0]], [[[0], 1]], [[[0.0, 0], 1]],
-        [[[0, 0], True]], [[[0, 0], 1]] * 3, [[[0, 0], 7]], [[0, 0]],
-        {"0,0": 1}],
 }
 
 

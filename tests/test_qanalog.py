@@ -196,8 +196,9 @@ def test_lusztig_q_analog_is_the_full_weyl_sum(case, drop, pick):
 
 
 def test_no_cache_request_without_a_cache_dir(monkeypatch, a2):
-    """With NILCONE_CACHE_DIR unset, q-analogs and characters are computed
-    without asking the disk cache."""
+    """With NILCONE_CACHE_DIR unset, q-analogs are computed without asking
+    the disk cache; characters never ask it, with or without the variable
+    (test_characters_never_ask_the_disk_cache)."""
     def refuse(*args):
         raise AssertionError("the disk cache was asked")
     monkeypatch.delenv("NILCONE_CACHE_DIR", raising=False)

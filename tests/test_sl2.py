@@ -26,6 +26,16 @@ def test_orbit_labels_are_even_ints():
                 build(bad)
 
 
+def test_flag_tables_compare_unequal_to_other_objects():
+    table = standard_class(2)
+    assert table == standard_class(2)
+    assert table != costandard_class(2)
+    assert not table == 5
+    assert table != 5
+    assert table not in [None, 3]
+    assert table in [None, standard_class(2)]
+
+
 def _layers_from_golden(layers):
     return [{int(k): v for k, v in layer.items()} for layer in layers]
 
