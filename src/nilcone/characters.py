@@ -8,6 +8,9 @@ one Brauer-Klimyk rule (`_brauer`; Humphreys, GTM 9, §24): for a W-invariant
 chi, ch V_lam * chi = sum over the weights nu of chi of chi(nu) sign(w)
 ch V_{w.(lam + nu)}, with w.mu = w(mu + rho) - rho the dot action, so no
 product character is built and no constituent's character is expanded.
+The dot action is walked inline, one simple reflection at a time, with no
+helper call per weight; the characters the rule reads are the memoised
+ones, read in place and never changed.
 """
 
 from functools import lru_cache
@@ -176,37 +179,34 @@ def _peel_key(datum, weight):
     return (datum.pair_2rho_check(weight), weight)
 
 
-def _dot_dominant(datum, weight):
-    """(sign(w), w.weight) for the w whose dot action makes weight dominant,
-    or None when weight + rho lies on a wall.  <rho, alpha_i-check> = 1
-    (Humphreys, GTM 9, §13.3), so s_i.weight = weight - c alpha_i with
-    c = <weight, alpha_i-check> + 1, and no rho vector is needed."""
-    sign = 1
-    while True:
-        for coroot, root in datum.simple_pairs:
-            c = _dot(weight, coroot) + 1
-            if c == 0:
-                return None
-            if c < 0:
-                weight = _vec_sub(weight, _vec_scale(c, root))
-                sign = -sign
-                break
-        else:
-            return sign, weight
-
-
 def _brauer(datum, entries, char):
     """sum of mult * ch V_lam * char over (lam, mult) in entries, as a
     decomposition, for a W-invariant char, by the Brauer-Klimyk rule: each
-    weight nu of char adds char(nu) sign(w) at w.(lam + nu).  The nonzero
-    entries come in descending _peel_key order."""
+    weight nu of char adds char(nu) sign(w) at w.(lam + nu), with w the
+    element whose dot action makes lam + nu dominant, and nothing when
+    lam + nu + rho lies on a wall.  The dot action is walked inline:
+    <rho, alpha_i-check> = 1 (Humphreys, GTM 9, §13.3), so s_i.weight =
+    weight - c alpha_i with c = <weight, alpha_i-check> + 1, no rho vector
+    is needed, and c = 0 is a wall.  The nonzero entries come in
+    descending _peel_key order."""
+    simple_pairs = datum.simple_pairs
     out = {}
     for lam, mult in entries.items():
         for nu, m in char.items():
-            found = _dot_dominant(datum, _vec_add(lam, nu))
-            if found is not None:
-                sign, top = found
-                out[top] = out.get(top, 0) + sign * mult * m
+            weight = _vec_add(lam, nu)
+            term = mult * m
+            while True:
+                for coroot, root in simple_pairs:
+                    c = _dot(weight, coroot) + 1
+                    if c <= 0:
+                        break
+                else:
+                    out[weight] = out.get(weight, 0) + term
+                    break
+                if c == 0:
+                    break
+                weight = _vec_sub(weight, _vec_scale(c, root))
+                term = -term
     if any(m < 0 for m in out.values()):
         raise DomainError("input is not the character of a representation")
     return {w: out[w] for w in sorted(out, key=lambda w: _peel_key(datum, w),

@@ -33,8 +33,8 @@ from .roots import RootDatum, _vec_sub
 from .characters import tensor_decompose, dual_weight, restrict_to_levi
 from .qanalog import graded_mult_in_nilcone
 from .reps import (check_dim_cap, centralizer_and_exponents,
-                   op_add, op_apply, _build_irrep, _eliminate, _strip_column,
-                   int_columns_rank, DEFAULT_DIM_CAP)
+                   op_apply, _build_irrep, _divide_content, _eliminate,
+                   _subtract, int_columns_rank, DEFAULT_DIM_CAP)
 
 
 def free_object(summands):
@@ -155,8 +155,9 @@ def _strings(datum, lam):
     rep = _build_irrep(datum, lam)
     e = rep.e
     f = {}
-    for i, c in enumerate(_f_coefficients(datum)):
-        f = op_add(f, rep.f_ops[i], c)
+    for c, op in zip(_f_coefficients(datum), rep.f_ops):
+        for b, col in op.items():
+            _subtract(f.setdefault(b, {}), col, -c)
 
     bottoms = []
     strings = []  # strings[k][j] = e^j g_k
@@ -259,8 +260,9 @@ def _slice_pair(datum, lam, mu):
                         if j + j2 < lengths_t[l2]:
                             eq = equations.setdefault((t, k, l2, j + j2), {})
                             eq[u] = eq.get(u, 0) - den_s * num
-        columns = [col for col in map(_strip_column, equations.values())
-                   if col]
+        columns = [{u: v for u, v in eq.items() if v}
+                   for eq in equations.values()]
+        columns = [_divide_content(col) for col in columns if col]
         columns.sort(key=min, reverse=True)
         dim = len(index) - int_columns_rank(columns)
         if dim:

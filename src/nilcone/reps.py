@@ -23,9 +23,11 @@ read e from there.  MatrixRep.validate checks [e_i, f_j] = delta_ij h_i by
 compares [e_i, f_i] with h_i one weight space at a time, with no h_op.
 
 Ranks, the centralizer kernel and the kernel filtration rows go through one
-fraction-free integer elimination, :func:`_eliminate`.  Both reductions
-return a single column at once, as their loops would: on a filtration-sweep
-round 3,881 of the builder's 4,995 weight-space systems have one column.
+fraction-free integer elimination, :func:`_eliminate`, which copies a
+column once, at its first reduction, and then scales, reduces and divides
+that copy in place.  Both reductions return a single column at once, as
+their loops would: on a filtration-sweep round 3,881 of the builder's
+4,995 weight-space systems have one column.
 Kernel filtrations of e come from one top-down pass over the
 principal-degree layers (:func:`_layer_rows`), whose labelled rows
 bk_filtration restricts to a weight space, one rank per label from the top
@@ -96,16 +98,6 @@ def _subtract(col, piv, q):
             col.pop(k, None)
 
 
-def op_add(a, b, coeff=1):
-    out = {c: dict(col) for c, col in a.items()}
-    for c, col in b.items():
-        tgt = out.setdefault(c, {})
-        _subtract(tgt, col, -coeff)
-        if not tgt:
-            del out[c]
-    return out
-
-
 def op_commutator(a, b):
     """ab - ba, one column at a time: column c is a(b e_c) - b(a e_c),
     accumulated in one dict that drops entries as they cancel; neither
@@ -121,12 +113,12 @@ def op_commutator(a, b):
     return out
 
 
-def _strip_column(col):
-    """Drop an integer column's zeros and divide it by its content."""
-    col = {r: v for r, v in col.items() if v}
+def _divide_content(col):
+    """Divide an integer column by the gcd of its entries, in place."""
     g = gcd(*col.values())
     if g > 1:
-        col = {r: v // g for r, v in col.items()}
+        for k in col:
+            col[k] //= g
     return col
 
 
@@ -139,6 +131,11 @@ def _eliminate(columns, nrows=None):
     result is divided by its content.  Entries stay integers, and the
     content division keeps them small where Bareiss's fraction-free
     elimination (Math. Comp. 22, 1968) divides by the previous pivot.
+    A column is copied once, scaled, at its first reduction; each step
+    then scales that copy, subtracts the pivot's multiple (:func:`_subtract`)
+    and divides by the content in place (:func:`_divide_content`), so no
+    step builds a new dict and the caller's columns are left alone.  A
+    marked column is a copy from the start.
     kept maps the index of each column that became a pivot to its reduced
     form, so the rank is len(kept) and, for every j, the reduced columns
     kept from columns[:j + 1] span what columns[:j + 1] span.
@@ -162,6 +159,7 @@ def _eliminate(columns, nrows=None):
     kept = {}
     kernel = []
     for j, col in enumerate(columns):
+        own = nrows is not None  # the marked columns are copies already
         while col:
             r = min(col)
             if nrows is not None and r >= nrows:
@@ -174,12 +172,14 @@ def _eliminate(columns, nrows=None):
             a, b = piv[r], col[r]
             g = gcd(a, b)
             ca, cb = b // g, a // g
-            new = {}
-            for k in col.keys() | piv.keys():
-                v = cb * col.get(k, 0) - ca * piv.get(k, 0)
-                if v:
-                    new[k] = v
-            col = _strip_column(new)
+            if not own:
+                col = {k: cb * v for k, v in col.items()}
+                own = True
+            elif cb != 1:
+                for k in col:
+                    col[k] *= cb
+            _subtract(col, piv, ca)
+            _divide_content(col)
     return kept, kernel
 
 
@@ -366,10 +366,12 @@ def _build_irrep(datum, lam):
     below lam takes one pass over the directions i with mu + alpha_i a
     weight: their slots are looked up once, h_i(mu + alpha_i) is one _dot,
     and each candidate's e-image drops its entries as they cancel
-    (:func:`_subtract`), so it goes to fraction_solve as built.  No nonzero vector below lam is killed
-    by every e_j, so a Z-basis of the e-images is the e-image of a Z-basis
-    of L(mu), and every candidate's coords over it are those of its
-    e-image."""
+    (:func:`_subtract`), so it goes to fraction_solve as built.  No nonzero
+    vector below lam is killed by every e_j, so a Z-basis of the e-images
+    is the e-image of a Z-basis of L(mu), and every candidate's coords
+    over it are those of its e-image.  The coords go into f_ops offset by
+    the first index of mu, and each entry of an image into the e_j column
+    that its row's direction names, with one lookup."""
     char = _character(datum, lam)
     rank = datum.rank
     # the basis in its final order: descending principal degree, then weight,
@@ -388,7 +390,7 @@ def _build_irrep(datum, lam):
     for mu in order[1:]:
         # f_i b for each basis vector b of mu + alpha_i, and its e-image,
         # whose rows are the basis indices of the spaces mu + alpha_j
-        direction = {}  # basis index of mu + alpha_j -> j
+        direction = {}  # basis index of mu + alpha_j -> e_j
         cands = []
         columns = []
         for i, (coroot, root) in enumerate(datum.simple_pairs):
@@ -398,7 +400,7 @@ def _build_irrep(datum, lam):
             h = _dot(mu, coroot) + 2  # h_i on mu + alpha_i
             f = f_ops[i]
             for b in up:
-                direction[b] = i
+                direction[b] = e_ops[i]
                 # e f_i b = f_i e b + h_i b: the sum over j of
                 # e_j f_i b = f_i e_j b + delta_ij h_i b
                 col = {b: h} if h else {}
@@ -410,13 +412,14 @@ def _build_irrep(datum, lam):
         images, coords = fraction_solve(columns)
         assert len(images) == char[mu], \
             "could not span weight space %r of V_%r" % (mu, lam)
+        base = slots[mu].start
         for (i, b), x in zip(cands, coords):
             if x:
-                f_ops[i][b] = {slots[mu][t]: v for t, v in x.items()}
+                f_ops[i][b] = {base + t: v for t, v in x.items()}
         for g, col in zip(slots[mu], images):
             e[g] = col
             for r, v in col.items():
-                e_ops[direction[r]].setdefault(g, {})[r] = v
+                direction[r].setdefault(g, {})[r] = v
 
     rep = MatrixRep(datum, lam, basis, e_ops, f_ops, e)
     rep.validate()
@@ -482,8 +485,9 @@ class CentralizerElement:
         out = {}
         for chain, c in zip(self.items, self.coeffs):
             if c:
-                out = op_add(out, realize_root_vector(rep, chain), c)
-        return out
+                for k, col in realize_root_vector(rep, chain).items():
+                    _subtract(out.setdefault(k, {}), col, -c)
+        return {k: col for k, col in out.items() if col}
 
 
 def centralizer_and_exponents(datum):
@@ -610,7 +614,7 @@ def _layer_rows(rep):
     out = {}
     for d in sorted(rep.layers, reverse=True):
         above = out.get(d + 2, ())
-        rows = [(label + 1, _strip_column(op_apply(e_rows, row)))
+        rows = [(label + 1, _divide_content(op_apply(e_rows, row)))
                 for label, row in above]
         rows = [(label, row) for label, row in rows if row]
         leading = {min(row) for _, row in above}

@@ -656,15 +656,27 @@ def _reference_dot_dominant(levi, weight):
 @settings(max_examples=25)
 @given(pairing=st.lists(st.integers(-4, 3), min_size=3, max_size=3))
 def test_dot_dominant_matches_weyl_group_search(preset, pairing):
-    from nilcone.characters import _dot_dominant
+    """_brauer walks the dot action inline.  With the one-weight character
+    {0: 1}, the entry {weight: s} gives {w.weight: s sign(w)}, nothing on a
+    wall, and a negative total is refused: so s = sign(w) gives
+    {w.weight: 1} and s = -sign(w) raises."""
+    from nilcone.characters import _brauer
     datum = build_datum(preset)
     try:
         weight = datum.weight_from_pairing(pairing[:datum.rank])
     except DomainError:
         return
+    zero = {(0,) * len(weight): 1}
     for levi in _levis(datum):
-        assert _dot_dominant(levi, weight) == \
-            _reference_dot_dominant(levi, weight), levi.name
+        found = _reference_dot_dominant(levi, weight)
+        if found is None:
+            assert _brauer(levi, {weight: 1}, zero) == {}, levi.name
+            assert _brauer(levi, {weight: -1}, zero) == {}, levi.name
+            continue
+        sign, top = found
+        assert _brauer(levi, {weight: sign}, zero) == {top: 1}, levi.name
+        with pytest.raises(DomainError):
+            _brauer(levi, {weight: -sign}, zero)
 
 
 # -- weights of the wrong shape --------------------------------------------------

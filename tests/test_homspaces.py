@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -11,7 +13,7 @@ from nilcone.qpoly import QPoly
 from nilcone.roots import build_datum, supported_presets
 from nilcone.characters import weyl_dimension, irreducible_character
 from nilcone.qanalog import hilbert_series_nilcone
-from nilcone.reps import (build_irrep, principal_e, op_add, op_commutator,
+from nilcone.reps import (build_irrep, principal_e, op_commutator,
                           centralizer_and_exponents, poincare_gr, MatrixRep)
 import nilcone.homspaces as homspaces
 from nilcone.homspaces import (free_object, structure_sheaf,
@@ -145,8 +147,11 @@ def test_f_completes_the_principal_sl2(preset):
                  for k in range(datum.weight_dim)) == two_rho_check
     rep = build_irrep(datum, datum.highest_root().weight)
     f = {}
-    for i, ci in enumerate(c):
-        f = op_add(f, rep.f_ops[i], ci)
+    for ci, op in zip(c, rep.f_ops):
+        for b, col in op.items():
+            column = f.setdefault(b, {})
+            for r, v in col.items():
+                column[r] = column.get(r, 0) + ci * v
     h = {b: {b: d} for d, idxs in rep.layers.items() if d for b in idxs}
     assert op_commutator(principal_e(rep), f) == h
 
@@ -172,6 +177,27 @@ def test_strings_match_the_layer_dimensions(preset, pairing):
     for d in layers:
         if d <= 0:
             assert starts[d] == layers[d] - layers[d - 2], (d, starts)
+
+
+# sha256 over homspaces._strings of every module of the benchmark's
+# hom-routes pool: every dominant weight of dimension <= 150 on A1-adj and
+# A2-sc (the pool's stretch pairs stay within it), 142 modules.  Equal Hom
+# tables would not show a lowest vector or an image row rescaled.
+_HOM_POOL_STRINGS = \
+    "841fe66c4270fa1c02b2cf28ac79ef84dd2b44334db5b8a375aa4b6be4c51162"
+
+
+def test_strings_are_byte_identical_on_the_hom_routes_pool():
+    digest = hashlib.sha256()
+    count = 0
+    for name in ("A1-adj", "A2-sc"):
+        datum = build_datum(name)
+        for lam in dominant_weights_with_dim_cap(datum, 150):
+            digest.update(json.dumps(
+                [name, list(lam), homspaces._strings(datum, lam)]).encode())
+            count += 1
+    assert count == 142
+    assert digest.hexdigest() == _HOM_POOL_STRINGS
 
 
 def test_slice_route_on_a_large_pair(a2):

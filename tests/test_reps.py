@@ -1,5 +1,6 @@
 import hashlib
 import json
+from copy import deepcopy
 from fractions import Fraction
 from inspect import CO_NEWLOCALS
 from itertools import combinations
@@ -11,11 +12,12 @@ from hypothesis import example, given, settings, strategies as st
 from nilcone.errors import DomainError, ResourceError
 from nilcone.qpoly import QPoly, geometric_series, product_truncated
 from nilcone.roots import build_datum, supported_presets
-from nilcone.characters import irreducible_character, weyl_dimension
+from nilcone.characters import (irreducible_character, weyl_dimension,
+                                restrict_to_levi, tensor_decompose)
 from nilcone.reps import (build_irrep, principal_e, centralizer_and_exponents,
                           bk_filtration, bk_profile_all_weights,
                           verify_theorem_filtrations, poincare_gr,
-                          op_add, op_apply, op_commutator,
+                          op_apply, op_commutator,
                           op_transpose, fraction_solve, int_columns_rank,
                           _eliminate, _hermite, _layer_rows, MatrixRep)
 from nilcone import reps
@@ -421,14 +423,22 @@ def test_one_column_elimination_matches_the_general_loop(column):
 
 def test_module_keeps_its_principal_nilpotent():
     """The builder writes every column of e = sum of the e_i once, as
-    rep.e: it equals the sum of e_ops on every module of dimension <= 60."""
+    rep.e: it is the entrywise sum of e_ops on every module of dimension
+    <= 60 of every preset.  validate never reads rep.e, but the layer rows,
+    the slice strings and the centralizer do."""
     for name in supported_presets():
         datum = build_datum(name)
         for lam in dominant_weights_with_dim_cap(datum, 60):
             rep = build_irrep(datum, lam)
             total = {}
             for op in rep.e_ops:
-                total = op_add(total, op)
+                for c, col in op.items():
+                    column = total.setdefault(c, {})
+                    for r, v in col.items():
+                        column[r] = column.get(r, 0) + v
+            total = {c: {r: v for r, v in col.items() if v}
+                     for c, col in total.items()}
+            total = {c: col for c, col in total.items() if col}
             assert rep.e == total, (name, lam)
 
 
@@ -498,6 +508,27 @@ def test_exports_are_byte_identical_on_the_filtration_sweep_pool():
             count += 1
     assert count == 200
     assert digest.hexdigest() == _FILTRATION_POOL_EXPORTS
+
+
+# sha256 over _layer_rows of every module of the filtration-sweep pool, each
+# row by sorted entries.  Equal profiles would not show a row rescaled.
+_FILTRATION_POOL_LAYER_ROWS = \
+    "c6894154dd5c2f23f170d1999d1a067ec82256fef706d7d8ca316a4b7c5139b9"
+
+
+def test_layer_rows_are_byte_identical_on_the_filtration_sweep_pool():
+    digest = hashlib.sha256()
+    count = 0
+    for name in ("A1-sc", "A2-sc", "B2-sc"):
+        datum = build_datum(name)
+        for lam in dominant_weights_with_dim_cap(datum, 120):
+            rows = _layer_rows(build_irrep(datum, lam))
+            digest.update(json.dumps(
+                [[d, [[label, sorted(row.items())] for label, row in layer]]
+                 for d, layer in sorted(rows.items())]).encode())
+            count += 1
+    assert count == 200
+    assert digest.hexdigest() == _FILTRATION_POOL_LAYER_ROWS
 
 
 # -- the elimination routine against a plain Fraction Gauss-Jordan ------------
@@ -679,6 +710,56 @@ def test_kernel_matches_reference(matrix):
         assert len(_gauss_jordan(kernel + reference, ncols)[1]) == len(kernel)
 
 
+@_SETTINGS
+@given(_matrices(st.integers(-12, 12)))
+def test_reductions_leave_the_callers_columns_alone(matrix):
+    """_eliminate scales, reduces and divides a column in place, on a copy
+    it takes at the column's first reduction; int_columns_rank and
+    fraction_solve reduce copies too.  So every input column stays equal
+    to a deep copy taken before the call, here with the first column
+    passed twice, so that a column meets itself as a pivot, and the
+    results still agree with Gauss-Jordan."""
+    rows, ncols = matrix
+    columns = _sparse_columns(rows, ncols)
+    columns.append(columns[0])
+    before = deepcopy(columns)
+    rank = len(_gauss_jordan(rows, ncols)[1])
+    assert len(_eliminate(columns)[0]) == rank
+    assert columns == before
+    kept, kernel = _eliminate(columns, len(rows))
+    assert columns == before
+    assert len(kept) == rank and len(kernel) == ncols + 1 - rank
+    for vec in kernel:
+        assert all(sum(c.get(r, 0) * x for c, x in zip(columns, vec)) == 0
+                   for r in range(len(rows)))
+    assert int_columns_rank(columns) == rank
+    assert columns == before
+    assert len(fraction_solve(columns)[0]) == rank
+    assert columns == before
+
+
+@settings(max_examples=40)
+@given(preset=st.sampled_from(supported_presets()),
+       pairings=st.lists(st.integers(0, 2), min_size=6, max_size=6))
+def test_tensor_decompose_leaves_the_memoised_characters_alone(preset,
+                                                               pairings):
+    """tensor_decompose and restrict_to_levi read the memoised characters
+    in place, and the Brauer-Klimyk walk changes none of them."""
+    import nilcone.characters as ch
+    datum = build_datum(preset)
+    try:
+        lam, mu = (datum.weight_from_pairing(tuple(p[:datum.rank]))
+                   for p in (pairings[:3], pairings[3:]))
+    except DomainError:
+        return
+    chars = [ch._character(datum, w) for w in (lam, mu)]
+    before = deepcopy(chars)
+    tensor_decompose(datum, lam, mu)
+    restrict_to_levi(datum, (0,), lam)
+    assert [ch._character(datum, w) for w in (lam, mu)] == before
+    assert all(ch._character(datum, w) is c for w, c in zip((lam, mu), chars))
+
+
 def test_route_sides_bind_no_foreign_elimination():
     """The q-analog side must not call the elimination it is checked by,
     and the module side must not call the root-coordinate kernel."""
@@ -779,7 +860,7 @@ def test_weyl_character_oracle_stays_independent():
         codes.extend(c for c in code.co_consts if hasattr(c, "co_names"))
     foreign = {"decompose_character", "heapq", "weyl_dimension",
                "_peel_entry", "irreducible_character", "_dominant_mults",
-               "_brauer", "_dot_dominant"}
+               "_brauer"}
     assert not names & foreign, sorted(names & foreign)
 
 
