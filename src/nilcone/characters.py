@@ -8,6 +8,9 @@ one Brauer-Klimyk rule (`_brauer`; Humphreys, GTM 9, §24): for a W-invariant
 chi, ch V_lam * chi = sum over the weights nu of chi of chi(nu) sign(w)
 ch V_{w.(lam + nu)}, with w.mu = w(mu + rho) - rho the dot action, so no
 product character is built and no constituent's character is expanded.
+The products of the last 2048 ordered pairs of dominant weights are
+memoised (`_tensor`), never keyed on the unordered pair: the two orders
+walk different characters and are compared by the adjunction check.
 The dot action is walked inline, one simple reflection at a time, with no
 helper call per weight; the characters the rule reads are the memoised
 ones, read in place and never changed.
@@ -214,9 +217,17 @@ def _brauer(datum, entries, char):
 
 
 def tensor_decompose(datum, lam, mu):
-    """Multiplicities of each V_nu inside V_lam tensor V_mu."""
-    return tensor_decompose_on(datum, {require_dominant(datum, lam): 1},
-                               {require_dominant(datum, mu): 1})
+    """Multiplicities of each V_nu inside V_lam tensor V_mu: a fresh dict
+    from the memo of ordered pairs `_tensor`, asked with checked weights."""
+    return dict(_tensor(datum, require_dominant(datum, lam),
+                        require_dominant(datum, mu)))
+
+
+@lru_cache(maxsize=2048)
+def _tensor(datum, lam, mu):
+    """tensor_decompose_on's items, in its order, for dominant lam and mu;
+    the sum walks V_mu's weights: (lam, mu) and (mu, lam) are two keys."""
+    return tuple(tensor_decompose_on(datum, {lam: 1}, {mu: 1}).items())
 
 
 def dual_weight(datum, lam):

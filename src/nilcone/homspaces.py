@@ -6,7 +6,8 @@ independent routes that must agree:
 
 * the Kostant route: tensor decomposition plus graded multiplicities of the
   coordinate ring (module qanalog), one result per pair of summand weights,
-  the last 2048 of them kept in memory behind the weight check;
+  the last 2048 of them kept in memory behind the weight check, over the
+  ordered-pair tensor memo it shares with the adjunction check;
 * the slice route: honest linear algebra at the principal nilpotent e,
   cutting out maps that commute with its centralizer and with the center,
   graded by the cocharacter that contracts onto it.  Each module is
@@ -30,7 +31,8 @@ from math import lcm
 from .errors import (require_dominant, require_instance, require_int,
                      require_items, require_summand)
 from .roots import RootDatum, _vec_sub
-from .characters import tensor_decompose, dual_weight, restrict_to_levi
+from .characters import (tensor_decompose, dual_weight, restrict_to_levi,
+                         _tensor)
 from .qanalog import graded_mult_in_nilcone
 from .reps import (check_dim_cap, centralizer_and_exponents,
                    op_apply, _build_irrep, _divide_content, _eliminate,
@@ -99,9 +101,10 @@ def hom_profile_kostant(datum, source, target):
 @lru_cache(maxsize=2048)
 def _kostant_pair(datum, lam, mu):
     """((geometric degree, dim), ...) of the equivariant maps V_lam -> V_mu
-    by the Kostant route, for weights already checked dominant."""
+    by the Kostant route, for weights already checked dominant, so it reads
+    `_tensor` directly; its own memo also saves the graded sum."""
     out = {}
-    for nu, m in tensor_decompose(datum, mu, dual_weight(datum, lam)).items():
+    for nu, m in _tensor(datum, mu, dual_weight(datum, lam)):
         for exp, c in graded_mult_in_nilcone(datum, nu).coeffs.items():
             out[2 * exp] = out.get(2 * exp, 0) + m * c
     return tuple(sorted(out.items()))
@@ -291,7 +294,8 @@ def adjunction_check(datum, v1, v2):
     and maps the structure sheaf into it.  So the check compares the two
     argument orders of the Brauer-Klimyk sum, and it must keep both: with
     the arguments put in one order, it would compare a computation with
-    itself.
+    itself.  Both sides read the one tensor memo, keyed on the ordered
+    pair, and a V_0 factor is computed, never short-cut.
     """
     v1, v2 = require_dominant(datum, v1), require_dominant(datum, v2)
     lhs = hom_profile_kostant(datum, [(v1, 0)], [(v2, 0)])

@@ -107,7 +107,9 @@ class QPoly:
     __rmul__ = __mul__
 
     def shifted(self, k):
-        """Multiply by q^k."""
+        """Multiply by q^k, for an int k (not a bool)."""
+        if type(k) is not int:
+            refuse("shift", k, "an int")
         res = QPoly()
         res.coeffs = {e + k: c for e, c in self.coeffs.items()}
         return res
@@ -124,7 +126,9 @@ class QPoly:
         return min(self.coeffs)
 
     def truncated(self, n):
-        """Drop all terms of exponent > n."""
+        """Drop all terms of exponent > n, for an int n (not a bool)."""
+        if type(n) is not int:
+            refuse("truncation", n, "an int")
         res = QPoly()
         res.coeffs = {e: c for e, c in self.coeffs.items() if e <= n}
         return res

@@ -218,6 +218,7 @@ def test_memo_tables_are_pure_caches(a2):
     def other_results():
         rep = build_irrep(a2, (2, 1))
         return (lusztig_q_analog(a2, (2, 2), (1, 1)),
+                list(tensor_decompose(a2, (2, 1), (1, 1)).items()),
                 (rep.basis, rep.e_ops, rep.f_ops),
                 centralizer_and_exponents(a2)[1],
                 hom_profile_slice(a2, v, v),
@@ -243,6 +244,7 @@ def test_memo_tables_are_pure_caches(a2):
     # the public results are copies: mutating one leaves the memo intact
     for call, args in ((ch.irreducible_character, (a2, (2, 1))),
                        (ch.restrict_to_levi, (a2, (0,), (2, 1))),
+                       (ch.tensor_decompose, (a2, (2, 1), (1, 1))),
                        (sl2.convolve_ic_recursive, (-10, 4)),
                        (hom_profile_kostant, (a2, v, v))):
         first = call(*args)

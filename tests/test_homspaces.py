@@ -3,7 +3,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,10 +11,12 @@ from hypothesis import assume, given, settings, strategies as st
 from nilcone.errors import DomainError, ResourceError
 from nilcone.qpoly import QPoly
 from nilcone.roots import build_datum, supported_presets
-from nilcone.characters import weyl_dimension, irreducible_character
+from nilcone.characters import (weyl_dimension, irreducible_character,
+                                tensor_decompose, dual_weight)
 from nilcone.qanalog import hilbert_series_nilcone
 from nilcone.reps import (build_irrep, principal_e, op_commutator,
                           centralizer_and_exponents, poincare_gr, MatrixRep)
+import nilcone.characters as characters
 import nilcone.homspaces as homspaces
 from nilcone.homspaces import (free_object, structure_sheaf,
                                hom_profile_kostant, hom_profile_slice,
@@ -78,10 +80,15 @@ def test_kostant_pair_memo_sits_behind_validation(a2):
     """A summand weight spelled with a float or a Fraction is equal and
     hash-equal to its int spelling, so the pair memo would answer it; the
     Kostant route checks every weight first, as the slice route does,
-    also when the other object is empty."""
+    also when the other object is empty.  tensor_decompose checks both
+    weights before its ordered-pair memo is asked."""
     v = free_object([((1, 0), 0)])
     assert hom_profile_kostant(a2, v, v) == {(0, 0): 1, (0, 2): 1, (0, 4): 1}
+    assert tensor_decompose(a2, (1, 0), (1, 0)) == {(2, 0): 1, (0, 1): 1}
     for bad in ((1.0, 0), (Fraction(1), 0)):
+        for pair in ((bad, (1, 0)), ((1, 0), bad)):
+            with pytest.raises(DomainError):
+                tensor_decompose(a2, *pair)
         odd = [(bad, 0)]
         for source, target in ((odd, v), (v, odd), ((), odd), (odd, ())):
             with pytest.raises(DomainError):
@@ -246,28 +253,89 @@ def test_adjunction_examples(a1_adj, a2):
     assert adjunction_check(a2, (1, 1), (1, 0))
 
 
-def test_adjunction_check_compares_both_argument_orders(a2, monkeypatch):
-    """The left side decomposes V_mu tensor V_lam^*, the right side
-    V_lam^* tensor V_mu, so a tensor_decompose that is wrong in one
-    argument order only (here: whenever its first factor is the smaller)
-    fails the check.  The pair memo is cleared on both sides of the test,
-    so no entry computed under the wrong decomposition outlives it."""
-    lam, mu = (1, 1), (2, 2)
-    assert weyl_dimension(a2, lam) < weyl_dimension(a2, mu)
-    assert adjunction_check(a2, lam, mu)
-    right = homspaces.tensor_decompose
+def _adjunction_order_cases(datum):
+    """(v1, v2, orders): a pair of nonzero weights, a pair with v1 = 0 and
+    one with v2 = 0, each in one center component and with v2 != v1^*,
+    so the left side's product (v2, v1^*) and the right side's (v1^*, v2)
+    are two ordered pairs.  orders lists the products whose corruption
+    the check can see: with v1 = 0 the right side maps V_0 into V_v2
+    through the left side's own pair, so only (0, v2) can be told."""
+    weights = [w for w in dominant_weights_with_dim_cap(datum, 30) if any(w)]
+    zero = (0,) * datum.weight_dim
+    pair = next((a, b) for a in weights for b in weights
+                if same_center_component(datum, a, b)
+                and b != dual_weight(datum, a))
+    rooted = next(w for w in weights if same_center_component(datum, w, zero))
+    cases = []
+    for v1, v2 in (pair, (zero, rooted), (rooted, zero)):
+        dual = dual_weight(datum, v1)
+        cases.append((v1, v2, [(dual, v2)] if v1 == zero
+                      else [(v2, dual), (dual, v2)]))
+    return cases
 
-    def one_order_wrong(datum, first, second):
-        out = dict(right(datum, first, second))
-        if weyl_dimension(datum, first) < weyl_dimension(datum, second):
-            out[max(out)] += 1
-        return out
-    homspaces._kostant_pair.cache_clear()
-    try:
-        monkeypatch.setattr(homspaces, "tensor_decompose", one_order_wrong)
-        assert not adjunction_check(a2, lam, mu)
-    finally:
+
+def test_adjunction_check_compares_both_argument_orders(monkeypatch):
+    """The left side decomposes V_v2 tensor V_v1^*, the right side
+    V_v1^* tensor V_v2, so on every preset a Brauer-Klimyk sum that is
+    wrong in one argument order only fails the check, even when the other
+    order's product is in the tensor memo already: the memo keys the
+    ordered pair.  The corruption sits below the memo, in
+    tensor_decompose_on; both memos are cleared on both sides of each
+    case, so no wrong entry outlives it."""
+    right = characters.tensor_decompose_on
+
+    def clear():
+        characters._tensor.cache_clear()
         homspaces._kostant_pair.cache_clear()
+    for preset in supported_presets():
+        datum = build_datum(preset)
+        for v1, v2, orders in _adjunction_order_cases(datum):
+            assert adjunction_check(datum, v1, v2), (preset, v1, v2)
+            pairs = {(v2, dual_weight(datum, v1)),
+                     (dual_weight(datum, v1), v2)}
+            for bad in orders:
+                (other,) = pairs - {bad}
+
+                def one_order_wrong(datum, entries_a, entries_b):
+                    out = right(datum, entries_a, entries_b)
+                    if (*entries_a, *entries_b) == bad:
+                        out[max(out)] += 1
+                    return out
+                clear()
+                try:
+                    tensor_decompose(datum, *other)
+                    monkeypatch.setattr(characters, "tensor_decompose_on",
+                                        one_order_wrong)
+                    assert not adjunction_check(datum, v1, v2), \
+                        (preset, v1, v2, bad)
+                finally:
+                    monkeypatch.undo()
+                    clear()
+
+
+@pytest.mark.parametrize("preset", supported_presets())
+def test_hom_is_self_dual_on_both_routes(preset):
+    """Hom(V_lam, V_mu) and Hom(V_mu^*, V_lam^*) are equal graded tables on
+    the slice route and on the Kostant route, over a pairing box with
+    coordinates <= 3 and dim V_lam * dim V_mu <= 150.  On the slice route
+    the two sides summarise two different pairs of modules."""
+    datum = build_datum(preset)
+    weights = []
+    for coords in product(range(4), repeat=datum.rank):
+        try:
+            weights.append(datum.weight_from_pairing(coords))
+        except DomainError:
+            pass
+    pairs = [(lam, mu) for lam in weights for mu in weights
+             if weyl_dimension(datum, lam) * weyl_dimension(datum, mu) <= 150]
+    assert len(pairs) >= 4
+    for lam, mu in pairs:
+        src, tgt = [(lam, 0)], [(mu, 0)]
+        dual_src = [(dual_weight(datum, mu), 0)]
+        dual_tgt = [(dual_weight(datum, lam), 0)]
+        for route in (hom_profile_kostant, hom_profile_slice):
+            assert route(datum, src, tgt) == \
+                route(datum, dual_src, dual_tgt), (route.__name__, lam, mu)
 
 
 ORLOV_PRESETS = ["A1-sc", "A1-adj", "A2-sc", "A2-adj", "A3-sc", "B2-sc", "G2"]

@@ -33,6 +33,20 @@ def test_qpoly_rejects_inexact_terms(terms):
         QPoly(terms)
 
 
+@pytest.mark.parametrize("k", [1.5, 2.0, Fraction(1), True, None, "a"])
+def test_qpoly_shift_and_truncation_are_ints(k):
+    """shifted and truncated take an int only, by the constructor's rule:
+    a float shift used to build a float exponent that printed as an int
+    one, and a bool or float truncation was accepted."""
+    p = QPoly({1: 2, 3: 1})
+    with pytest.raises(DomainError):
+        p.shifted(k)
+    with pytest.raises(DomainError):
+        p.truncated(k)
+    assert p.shifted(-1) == QPoly({0: 2, 2: 1})
+    assert p.truncated(2) == QPoly({1: 2})
+
+
 def test_constants_hash_as_their_ints():
     """A constant equals its int, so it hashes as it; zero hashes as 0."""
     for c in (0, 3, -7, 2 ** 70):

@@ -800,6 +800,7 @@ _MEMOS = {
     "nilcone.characters._character": None,
     "nilcone.characters._dominant_mults": None,
     "nilcone.characters._restrict": None,
+    "nilcone.characters._tensor": 2048,
     "nilcone.homspaces._kostant_pair": 2048,
     "nilcone.homspaces._strings": None,
     "nilcone.qanalog._orbit_q_analog": 64,
