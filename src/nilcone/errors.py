@@ -6,10 +6,12 @@ its arguments.  Each checks its arguments on entry with the require_*
 functions below.  They return the argument in the form the caller works
 on (a weight as a tuple, an int as it is), and they raise DomainError
 with one message, "<what> <value>: expected <what it must be>".  Only
-`build_datum` raises ConfigurationError instead, for a preset name.  The
-weight checks run on hot paths: on success they read no more of the datum
-than its weight_dim, and on failure a datum that is no RootDatum is named
-first.
+`build_datum` raises ConfigurationError instead, for a preset name.  A
+weight is datum.weight_dim ints (not bools), a vector of the weight
+lattice, where every multiplicity and q-analog is defined; no argument or
+result of the library is a Fraction.  The weight checks run on hot paths:
+on success they read no more of the datum than its weight_dim, and on
+failure a datum that is no RootDatum is named first.
 
 The CLI maps the classes onto exit codes: DomainError and
 ConfigurationError exit with 1, ResourceError with 2.
@@ -123,36 +125,30 @@ def require_choice(value, choices, what):
 
 
 def require_weight(datum, weight):
-    """tuple(weight), once it is datum.weight_dim exact entries: ints (not
-    bools), or Fractions for a vector off the lattice, where every
-    multiplicity and q-analog is 0.  An int entry is accepted first, so
-    only another entry loads fractions; a caller that passes a Fraction
-    has loaded it already."""
+    """tuple(weight), once it is datum.weight_dim ints (not bools): a
+    weight of the lattice, the only kind there is."""
     try:
         ok = len(weight) == datum.weight_dim
     except (TypeError, AttributeError):  # no length, or no datum
         ok = False
     if ok:
         for c in weight:
-            if type(c) is not int and not _is_fraction(c):
+            if type(c) is not int:
                 break
         else:
             return tuple(weight)
     from .roots import RootDatum  # roots imports this module
     require_instance(datum, RootDatum, "datum")
-    refuse("weight", weight, "%d exact coordinates for %s"
+    refuse("weight", weight, "%d int coordinates for %s"
            % (datum.weight_dim, datum.name))
-
-
-def _is_fraction(c):
-    from fractions import Fraction
-    return isinstance(c, Fraction)
 
 
 def require_dominant(datum, weight):
     """tuple(weight), once it is a dominant weight of ints (not bools).
-    Every hot path runs this check, so require_weight, which gives a
-    malformed weight or datum its own message, runs only on failure."""
+    Every hot path runs this check, so it keeps its own int loop, and
+    require_weight, which gives a malformed weight or datum its own
+    message, runs only on failure: calling require_weight first cost
+    hom-routes 2.8 % of its items/s (Python 3.11, 2-core VM)."""
     try:
         ok = len(weight) == datum.weight_dim
     except (TypeError, AttributeError):  # no length, or no datum

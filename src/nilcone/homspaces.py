@@ -89,10 +89,17 @@ def hom_profile_kostant(datum, source, target):
     source, target = free_object(source), free_object(target)
     for lam, _ in [*source, *target]:
         require_dominant(datum, lam)
+    return _pair_table(datum, source, target, _kostant_pair)
+
+
+def _pair_table(datum, source, target, pair):
+    """The profile of two checked free objects: pair(datum, lam, mu) gives
+    ((geometric degree, dim), ...) for one summand pair, keyed here by the
+    internal degree difference as well; zero entries are dropped."""
     table = {}
     for lam, i in source:
         for mu, j in target:
-            for degree, dim in _kostant_pair(datum, lam, mu):
+            for degree, dim in pair(datum, lam, mu):
                 key = (j - i, degree)
                 table[key] = table.get(key, 0) + dim
     return {k: v for k, v in table.items() if v}
@@ -119,13 +126,7 @@ def hom_profile_slice(datum, source, target, dim_cap=DEFAULT_DIM_CAP):
     source, target = free_object(source), free_object(target)
     for lam, _ in [*source, *target]:
         check_dim_cap(datum, lam, dim_cap)
-    table = {}
-    for lam, i in source:
-        for mu, j in target:
-            for degree, dim in _slice_pair(datum, lam, mu):
-                key = (j - i, degree)
-                table[key] = table.get(key, 0) + dim
-    return {k: v for k, v in table.items() if v}
+    return _pair_table(datum, source, target, _slice_pair)
 
 
 def _f_coefficients(datum):

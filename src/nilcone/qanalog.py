@@ -133,7 +133,7 @@ def lusztig_q_analog(datum, lam, mu):
     if not cache.enabled():
         return _q_analog(datum, lam, coords, top)
     request = {"op": "lusztig_q_analog", "format": 1, "preset": datum.name,
-               "lam": list(lam), "mu": [int(c) for c in mu]}  # ints, for JSON
+               "lam": list(lam), "mu": list(mu)}
     stored = _stored_q_analog(top, cache.fetch(request))
     if stored is not None:
         return stored
@@ -219,17 +219,13 @@ def p_bk_polynomial(datum, nu, lam):
     Equals q^<lam_dom - lam, rho-check> * m^{lam_dom}_nu(q), with lam_dom
     the dominant Weyl conjugate of lam (Brylinski, 1989).  Every weight of
     one Weyl orbit shares the q-analog, so it comes from _orbit_q_analog.
-    dominant_conjugate checks lam.  For a lam of ints, lam_dom - lam is a
-    sum of simple roots, so its height is half the difference of the
-    2rho-check pairings, an int; a lam with a Fraction entry makes that
-    difference a Fraction and goes through height, which raises
-    DomainError when lam_dom - lam is off the root lattice.
+    dominant_conjugate checks lam.  lam_dom - lam is a sum of simple
+    roots, so its height is half the difference of the 2rho-check
+    pairings, an int.
     """
     nu = require_dominant(datum, nu)
     _, lam_dom = datum.dominant_conjugate(lam)
-    twice = datum.pair_2rho_check(lam_dom) - datum.pair_2rho_check(lam)
-    shift = twice // 2 if type(twice) is int \
-        else datum.height(_vec_sub(lam_dom, lam))
+    shift = (datum.pair_2rho_check(lam_dom) - datum.pair_2rho_check(lam)) // 2
     return _orbit_q_analog(datum, nu, lam_dom).shifted(shift)
 
 

@@ -114,9 +114,6 @@ class QPoly:
         res.coeffs = {e + k: c for e, c in self.coeffs.items()}
         return res
 
-    def coeff(self, e):
-        return self.coeffs.get(e, 0)
-
     def at_one(self):
         return sum(self.coeffs.values())
 

@@ -20,7 +20,8 @@ principal nilpotent e = sum e_i: the module keeps them as MatrixRep.e, and
 the builder, the kernel filtrations, the centralizer and the slice route
 read e from there.  MatrixRep.validate checks [e_i, f_j] = delta_ij h_i by
 :func:`op_commutator`, which forms ab - ba one column at a time, and
-compares [e_i, f_i] with h_i one weight space at a time, with no h_op.
+compares [e_i, f_i] with h_i one weight space at a time, where h_i acts by
+the pairing with alpha_i-check, so no matrix of h_i is formed.
 
 Ranks, the centralizer kernel and the kernel filtration rows go through one
 fraction-free integer elimination, :func:`_eliminate`, which copies a
@@ -285,20 +286,11 @@ class MatrixRep:
         for w, idxs in self.weight_spaces.items():
             self.layers.setdefault(datum.pair_2rho_check(w), []).extend(idxs)
 
-    def h_op(self, i):
-        """h_i, diagonal: one pairing per weight space, not per vector."""
-        out = {}
-        for w, idxs in self.weight_spaces.items():
-            c = self.datum.simple_pairing(w, i)
-            if c:
-                out.update((idx, {idx: c}) for idx in idxs)
-        return out
-
     def validate(self):
         """Assert [e_i, f_j] = delta_ij h_i, the character of every weight
         space and the Weyl dimension.  [e_i, f_j] for i != j must be the
         empty commutator.  [e_i, f_i] is compared with h_i one weight space
-        at a time, with no h_op: each column of a weight space whose
+        at a time, with no matrix of h_i: each column of a weight space whose
         pairing c with alpha_i-check is nonzero must be c at its own index,
         and the commutator must have as many columns as those spaces have
         basis vectors, so no other column is nonzero."""
@@ -323,24 +315,6 @@ class MatrixRep:
             assert char.get(w, 0) == len(idxs), "weight space dim mismatch at %r" % (w,)
         assert self.dim == weyl_dimension(d, self.highest_weight)
         return True
-
-    def to_json(self):
-        """Documented export: basis labels plus dense row-major matrices,
-        every entry a rational string "p/q"."""
-        def op_json(op):
-            rows = [["0/1"] * self.dim for _ in range(self.dim)]
-            for c, col in op.items():
-                for r, v in col.items():
-                    rows[r][c] = "%d/%d" % (v.numerator, v.denominator)
-            return rows
-        return {
-            "preset": self.datum.name,
-            "highest_weight": list(self.highest_weight),
-            "basis": [[list(w), k] for w, k in self.basis],
-            "e": [op_json(op) for op in self.e_ops],
-            "f": [op_json(op) for op in self.f_ops],
-            "h": [op_json(self.h_op(i)) for i in range(self.datum.rank)],
-        }
 
 
 def check_dim_cap(datum, lam, dim_cap):

@@ -300,19 +300,7 @@ class RootDatum:
         self.dim_denominator = prod(shift for _, shift in self.dim_factors)
         self.simple_pairs = tuple(zip(self.simple_coroots, self.simple_roots))
 
-    @property
-    def rho(self):
-        """rho, half the sum of the positive roots, in Fractions: half of the
-        integer two_rho (Humphreys, GTM 9, §13.3).  The library computes with
-        two_rho, so fractions is imported here and not by `import nilcone`."""
-        from fractions import Fraction
-        return tuple(Fraction(c, 2) for c in self.two_rho)
-
     # -- basic pairing and reflection operations -------------------------
-
-    def pair(self, weight, coweight):
-        """<weight, coweight> via the dual bases."""
-        return _dot(weight, coweight)
 
     def simple_pairing(self, weight, i):
         return _dot(weight, self.simple_coroots[i])
@@ -332,7 +320,8 @@ class RootDatum:
         return _dot(weight, self.two_rho_coweight)
 
     def height(self, vector):
-        """<v, rho-check> for v in the root lattice; equals the root height."""
+        """<v, rho-check> for v in the root lattice; equals the root height.
+        DomainError unless v is weight_dim ints of the root lattice."""
         coords = self.root_coordinates(vector)
         if coords is None:
             raise DomainError("vector not in the root lattice span")
@@ -369,7 +358,8 @@ class RootDatum:
         return self._positive_roots
 
     def root_coordinates(self, vector):
-        """Integer coords of vector over the simple roots, or None."""
+        """Integer coords of vector over the simple roots, or None off the
+        root lattice; DomainError unless vector is weight_dim ints."""
         if self.parent is not None:
             # the simple roots are independent: a Levi vector has the
             # parent's coordinates, supported on the Levi's simple roots
@@ -377,13 +367,8 @@ class RootDatum:
             if coords is None or any(coords[i] for i in self._outside):
                 return None
             return tuple(coords[i] for i in self.simple_indices)
-        # the simple roots are integral, so lattice vectors are too
-        ints = []
-        for x in vector:
-            if x.denominator != 1:
-                return None
-            ints.append(x.numerator)
-        return _integral_solution(self._root_inverse, ints)
+        return _integral_solution(self._root_inverse,
+                                  require_weight(self, vector))
 
     def _length_sq_half(self, root_coords):
         # (gamma,gamma)/2 with B(alpha_i,alpha_j) = d_i * A[i][j]; B is even
@@ -477,12 +462,12 @@ class RootDatum:
     def dominant_conjugate(self, weight):
         """The first w of weyl_elements(), in (length, word) order, with
         w(weight) dominant, and that dominant weight; DomainError unless
-        weight is weight_dim exact entries.
+        weight is weight_dim ints.
 
         Each element is tested on its pairing rows, rank-many dot products,
-        and only the one returned applies its matrix.  A weight with an
-        inexact entry would pair by wrong dot products, so it is refused
-        first, as is one of the wrong length.
+        and only the one returned applies its matrix.  A weight of another
+        length would pair by truncated dot products, so it is refused
+        first, as is one with an entry that is no int.
         """
         weight = require_weight(self, weight)
         # the closed dominant chamber meets every Weyl orbit (Humphreys,

@@ -62,6 +62,14 @@ def datum_or_levi(preset, subset):
     return datum if len(subset) == datum.rank else datum.levi(subset)
 
 
+def rho(datum):
+    """rho, half the sum of the positive roots, in Fractions: half of the
+    integer two_rho (Humphreys, GTM 9, §13.3).  The library computes with
+    two_rho only; the oracles that shift by rho itself read it here."""
+    from fractions import Fraction
+    return tuple(Fraction(c, 2) for c in datum.two_rho)
+
+
 def dim_from_pairing(datum, coords):
     """Weyl dimension from pairing coordinates (no lattice membership needed)."""
     from fractions import Fraction

@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 from nilcone.errors import DomainError
 from nilcone.qanalog import lusztig_q_analog, p_bk_polynomial, q_kostant
 from nilcone.reps import bk_filtration, build_irrep
-from nilcone.roots import _vec_add, _vec_sub, build_datum, supported_presets
+from nilcone.roots import (_dot, _vec_add, _vec_sub, build_datum,
+                           supported_presets)
 from nilcone.characters import (weight_multiplicity, irreducible_character,
                                 tensor_decompose, restrict_to_levi,
                                 weyl_dimension, weyl_character_oracle,
                                 dual_weight, tensor_decompose_on,
                                 restrict_decomposition, _brauer)
+from conftest import rho
 
 
 def test_weight_multiplicity_examples(a1, a2):
@@ -90,10 +92,12 @@ def test_freudenthal_matches_weyl_character_formula(preset, bound):
 def _long_division_oracle(datum, lam):
     """The Weyl character formula by naive long division of
     alt(lam + rho) by alt(rho), both shifted by -rho, leading term first."""
+    half = rho(datum)
+
     def alt(vec):
         out = {}
         for w in datum.weyl_elements():
-            key = [Fraction(a) - r for a, r in zip(w.apply(vec), datum.rho)]
+            key = [a - r for a, r in zip(w.apply(vec), half)]
             assert all(a.denominator == 1 for a in key)
             key = tuple(int(a) for a in key)
             out[key] = out.get(key, 0) + w.sign
@@ -101,8 +105,8 @@ def _long_division_oracle(datum, lam):
 
     def key(w):  # a monomial order: translation-invariant, total
         return datum.pair_2rho_check(w), w
-    numerator = alt(tuple(Fraction(a) + r for a, r in zip(lam, datum.rho)))
-    denominator = alt(datum.rho)
+    numerator = alt(tuple(a + r for a, r in zip(lam, half)))
+    denominator = alt(half)
     lead = max(denominator, key=key)
     assert not any(lead) and denominator[lead] == 1
     quotient = {}
@@ -297,8 +301,8 @@ def _reference_dimension(datum, lam):
     """Weyl's product formula in Fractions, over rho itself."""
     dim = Fraction(1)
     for root in datum.positive_roots():
-        rho = datum.pair(datum.rho, root.coroot)
-        dim *= (datum.pair(lam, root.coroot) + rho) / rho
+        shift = _dot(rho(datum), root.coroot)
+        dim *= (_dot(lam, root.coroot) + shift) / shift
     return dim
 
 
@@ -646,11 +650,12 @@ def _reference_dot_dominant(levi, weight):
     """(sign(w), w(weight + rho) - rho) for the w in the Weyl group that
     makes weight + rho strictly dominant, with rho in Fractions; None when
     no w does, i.e. weight + rho lies on a wall."""
-    shifted = tuple(a + r for a, r in zip(weight, levi.rho))
+    half = rho(levi)
+    shifted = tuple(a + r for a, r in zip(weight, half))
     for w in levi.weyl_elements():
         image = tuple(_pair(row, shifted) for row in w.matrix)
         if all(_pair(image, coroot) > 0 for coroot in levi.simple_coroots):
-            return w.sign, tuple(a - r for a, r in zip(image, levi.rho))
+            return w.sign, tuple(a - r for a, r in zip(image, half))
     return None
 
 

@@ -2,6 +2,7 @@ import inspect
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,12 +55,35 @@ def _modules_added_by(statement):
     return set(child.stdout.split())
 
 
-def test_import_loads_only_what_a_call_uses():
+# calls through every layer, the CLI with and without the disk cache
+# included; none of them needs fractions
+_CALLS = "; ".join([
+    "import os",
+    "import nilcone",
+    "from nilcone import cli, sl2",
+    "from nilcone.reps import bk_profile_all_weights",
+    "d = nilcone.build_datum('A2-sc')",
+    "nilcone.tensor_decompose(d, (1, 0), (1, 1))",
+    "nilcone.lusztig_q_analog(d, (2, 2), (0, 0))",
+    "bk_profile_all_weights(nilcone.build_irrep(d, (2, 1)))",
+    "nilcone.hom_profile_slice(d, [((1, 0), 0)], [((1, 0), 0), ((0, 1), 2)])",
+    "nilcone.hilbert_series_nilcone(d, 4)",
+    "sl2.table_rows(('standard', 'projective'), [0, 2])",
+    "assert cli.run(['hom', '--preset', 'A2-sc', '--source', '1,0', "
+    "'--target', '1,0;0,1@2', '--route', 'both', '--out', %(out)r]) == 0",
+    "os.environ['NILCONE_CACHE_DIR'] = %(cache)r",
+    "assert cli.run(['qanalog', '--preset', 'A2-sc', '--lambda', '1,1', "
+    "'--mu', '0,0', '--out', %(out)r]) == 0",
+    "assert os.listdir(%(cache)r)"])
+
+
+def test_import_loads_only_what_a_call_uses(tmp_path):
     """`import nilcone` loads no module that only some calls use: not
     hashlib or json (the disk cache imports them when it is used), not
-    fractions with decimal and numbers (only a Fraction argument or
-    RootDatum.rho needs it) and not __future__.  `import nilcone.cli` adds
-    only argparse and gettext; json waits for JSON output."""
+    fractions with decimal and numbers and not __future__.  `import
+    nilcone.cli` adds only argparse and gettext; json waits for JSON
+    output.  No call loads fractions: weights, results and exports are
+    ints, whichever layer, and the CLI and the disk cache, compute them."""
     added = _modules_added_by("import nilcone")
     assert "nilcone" in added
     unused = {"hashlib", "_hashlib", "json", "fractions", "decimal",
@@ -68,6 +92,12 @@ def test_import_loads_only_what_a_call_uses():
     cli = {name for name in _modules_added_by("import nilcone.cli")
            if name != "nilcone" and not name.startswith("nilcone.")}
     assert cli <= {"argparse", "gettext"}, sorted(cli)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    calls = _CALLS % {"out": str(tmp_path / "out.json"), "cache": str(cache)}
+    added = _modules_added_by(calls)
+    assert {"json", "hashlib", "nilcone.homspaces"} <= added
+    assert "fractions" not in added
 
 
 _A2 = build_datum("A2-sc")
@@ -109,6 +139,22 @@ NO_LENGTH = {
 def test_argument_without_a_length_is_a_domain_error(name, bad):
     """A weight or free object that is no sequence is refused as one, not
     by a TypeError from len(), tuple() or iteration."""
+    with pytest.raises(DomainError):
+        NO_LENGTH[name](bad)
+
+
+# the entries of NO_LENGTH whose `bad` argument is a weight
+WEIGHT_TAKING = sorted(set(NO_LENGTH) - {
+    "free_object", "mixed_shift", "levi_pullback", "hom_profile_kostant"})
+
+
+@pytest.mark.parametrize("bad", [(Fraction(1, 2), 0), (1.5, 0), (True, 0)],
+                         ids=["Fraction", "float", "bool"])
+@pytest.mark.parametrize("name", WEIGHT_TAKING)
+def test_weight_of_anything_but_ints_is_a_domain_error(name, bad):
+    """A weight is weight_dim ints: an entry that is a Fraction, a float or
+    a bool is refused, never read as a vector off the lattice or as its
+    int."""
     with pytest.raises(DomainError):
         NO_LENGTH[name](bad)
 

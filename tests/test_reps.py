@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 from copy import deepcopy
 from fractions import Fraction
 from inspect import CO_NEWLOCALS
@@ -24,6 +25,36 @@ from nilcone import reps
 from nilcone.homspaces import hom_profile_slice
 from nilcone.qanalog import p_bk_polynomial
 from conftest import dominant_weights_with_dim_cap
+
+
+def _h_op(rep, i):
+    """h_i of a module, diagonal: one pairing per weight space."""
+    out = {}
+    for w, idxs in rep.weight_spaces.items():
+        c = rep.datum.simple_pairing(w, i)
+        if c:
+            out.update((idx, {idx: c}) for idx in idxs)
+    return out
+
+
+def _export(rep):
+    """A module as JSON: basis labels plus dense row-major e, f and h
+    matrices, every entry a rational string "p/q" with q = 1, the form the
+    export digests below were taken in."""
+    def dense(op):
+        rows = [["0/1"] * rep.dim for _ in range(rep.dim)]
+        for c, col in op.items():
+            for r, v in col.items():
+                rows[r][c] = "%d/1" % v
+        return rows
+    return {
+        "preset": rep.datum.name,
+        "highest_weight": list(rep.highest_weight),
+        "basis": [[list(w), k] for w, k in rep.basis],
+        "e": [dense(op) for op in rep.e_ops],
+        "f": [dense(op) for op in rep.f_ops],
+        "h": [dense(_h_op(rep, i)) for i in range(rep.datum.rank)],
+    }
 
 
 def _nilpotency_index(op, dim):
@@ -60,7 +91,7 @@ def test_build_a2_vector(a2):
 def test_h_traces_vanish(b2):
     rep = build_irrep(b2, (1, 1))
     for i in range(b2.rank):
-        h = rep.h_op(i)
+        h = _h_op(rep, i)
         assert sum(h[c][c] for c in h) == 0
 
 
@@ -205,7 +236,7 @@ def test_validate_counts_the_columns_of_each_commutator(a2):
     bad = MatrixRep(a2, rep.highest_weight, rep.basis, rep.e_ops, f_ops,
                     rep.e)
     lhs = op_commutator(bad.e_ops[1], bad.f_ops[1])
-    h = rep.h_op(1)
+    h = _h_op(rep, 1)
     extra = set(lhs) - set(h)
     assert all(lhs[c] == col for c, col in h.items()) and len(extra) == 1
     assert a2.simple_pairing(rep.basis[extra.pop()][0], 1) == 0
@@ -331,9 +362,9 @@ def test_generator_matrices_are_small_integers(preset):
 
 
 def test_serialization_round_trip(a2):
-    from fractions import Fraction
+    """The export the digests below hash reproduces the sparse operators."""
     rep = build_irrep(a2, (1, 1))
-    data = json.loads(json.dumps(rep.to_json()))
+    data = json.loads(json.dumps(_export(rep)))
     assert data["preset"] == "A2-sc"
     assert len(data["basis"]) == 8
     assert {len(op) for op in data["e"]} == {8}
@@ -484,14 +515,14 @@ def test_exports_are_byte_identical_up_to_dimension_60():
     for name in supported_presets():
         datum = build_datum(name)
         for lam in dominant_weights_with_dim_cap(datum, 60):
-            export = build_irrep(datum, lam).to_json()
+            export = _export(build_irrep(datum, lam))
             digest.update(json.dumps(export, sort_keys=True).encode())
             count += 1
     assert count == 174
     assert digest.hexdigest() == _EXPORTS_UP_TO_60
 
 
-# sha256 over to_json() of every module of the benchmark's filtration-sweep
+# sha256 over _export of every module of the benchmark's filtration-sweep
 # pool: dimension <= 120 on A1-sc, A2-sc and B2-sc, 200 modules
 _FILTRATION_POOL_EXPORTS = \
     "04ae9e2d2e71ad2e87a954550d4377b09f574a759f7ececd1ed9b4ce99939791"
@@ -503,7 +534,7 @@ def test_exports_are_byte_identical_on_the_filtration_sweep_pool():
     for name in ("A1-sc", "A2-sc", "B2-sc"):
         datum = build_datum(name)
         for lam in dominant_weights_with_dim_cap(datum, 120):
-            export = build_irrep(datum, lam).to_json()
+            export = _export(build_irrep(datum, lam))
             digest.update(json.dumps(export, sort_keys=True).encode())
             count += 1
     assert count == 200
@@ -890,27 +921,24 @@ def _code_names(code):
 
 
 def test_integer_models_stay_integer():
-    """Module operators, the slice route and the Weyl oracle are ints end
-    to end: only the documented "p/q" export reads a denominator in reps,
-    homspaces has no Fraction, and the oracle builds none."""
-    import nilcone.characters
-    import nilcone.homspaces
-    import nilcone.reps
-    code = {}
-    for module in (nilcone.reps, nilcone.homspaces):
-        with open(module.__file__) as handle:
-            code[module] = _code_names(compile(handle.read(),
-                                               module.__file__, "exec"))
-    readers = sorted(name for name, names in code[nilcone.reps].items()
-                     if names & {"denominator", "numerator"})
-    assert readers == ["MatrixRep.to_json.<locals>.op_json"], readers
-    assert not any(value is Fraction
-                   for value in vars(nilcone.homspaces).values())
-    assert not any("Fraction" in names
-                   for names in code[nilcone.homspaces].values())
-    oracle = nilcone.characters.weyl_character_oracle.__code__
-    assert not any("Fraction" in names
-                   for names in _code_names(oracle).values())
+    """Every module of the library is ints end to end: none imports
+    fractions, names Fraction or reads a numerator or a denominator, and
+    none holds a Fraction once imported."""
+    import importlib
+    import nilcone
+    package = os.path.dirname(nilcone.__file__)
+    names = sorted(f[:-3] for f in os.listdir(package) if f.endswith(".py"))
+    assert {"errors", "roots", "qanalog", "reps", "homspaces"} <= set(names)
+    foreign = {"fractions", "Fraction", "numerator", "denominator"}
+    for name in names:
+        path = os.path.join(package, name + ".py")
+        with open(path) as handle:
+            code = _code_names(compile(handle.read(), path, "exec"))
+        readers = sorted(qualname for qualname, read in code.items()
+                         if read & foreign)
+        assert not readers, (name, readers)
+        module = importlib.import_module("nilcone." + name)
+        assert not any(value is Fraction for value in vars(module).values())
 
 
 # -- the kernel filtration against a naive walk of e^k ------------------------

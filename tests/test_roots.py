@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from nilcone.errors import ConfigurationError, DomainError
 from nilcone.roots import (_dot, _mat_vec, _vec_add, _vec_scale, _vec_sub,
                            build_datum, supported_presets)
-from conftest import DATA_AND_LEVIS, datum_or_levi
+from conftest import DATA_AND_LEVIS, datum_or_levi, rho
 
 EXPECTED = {
     # preset -> (rank, number of positive roots, Weyl order)
@@ -33,17 +33,17 @@ def test_preset_shape(preset):
 
 @pytest.mark.parametrize("preset", sorted(EXPECTED))
 def test_rho_is_half_the_sum_of_the_positive_roots(preset):
-    """rho, read off the integer two_rho, is exactly half the sum of the
-    positive roots, on the preset and on a Levi of it; it is derived, so
-    it cannot be assigned."""
+    """The integer two_rho is the sum of the positive roots, on the preset
+    and on a Levi of it, so the oracles' rho, read off it, is exactly half
+    that sum."""
     datum = build_datum(preset)
     for d in (datum, datum.levi((0,))):
         roots = d.positive_roots()
-        assert d.rho == tuple(Fraction(sum(r.weight[k] for r in roots), 2)
-                              for k in range(d.weight_dim)), d.name
-        assert all(type(c) is Fraction for c in d.rho)
-        with pytest.raises(AttributeError):
-            d.rho = d.rho
+        total = tuple(sum(r.weight[k] for r in roots)
+                      for k in range(d.weight_dim))
+        assert d.two_rho == total, d.name
+        assert all(type(c) is int for c in d.two_rho)
+        assert rho(d) == tuple(Fraction(c, 2) for c in total), d.name
 
 
 def test_unknown_preset_names_supported():
@@ -55,7 +55,7 @@ def test_unknown_preset_names_supported():
 
 def test_a1_defining_data(a1):
     (root,) = a1.positive_roots()
-    assert a1.pair(root.weight, root.coroot) == 2
+    assert _dot(root.weight, root.coroot) == 2
 
 
 def test_adjoint_lattice_is_root_lattice(a1_adj):
@@ -97,18 +97,16 @@ def test_dominant_conjugate_idempotent(b2):
 
 def test_dominant_conjugate_rejects_inexact_weights(a2):
     """The pairing rows would pair a short weight by truncated dot
-    products, and a bool or a str is no exact coordinate."""
-    for weight in ((1,), (True, -1), "ab"):
+    products, and a bool, a float, a Fraction or a str is no int
+    coordinate."""
+    for weight in ((1,), (True, -1), (1.0, -1), (Fraction(1, 2), 0), "ab"):
         with pytest.raises(DomainError):
             a2.dominant_conjugate(weight)
 
 
 @pytest.mark.parametrize("preset,subset", DATA_AND_LEVIS)
 @settings(max_examples=30)
-@given(entries=st.lists(st.one_of(
-    st.integers(-8, 8),
-    st.builds(Fraction, st.integers(-16, 16), st.integers(1, 4))),
-    min_size=3, max_size=3))
+@given(entries=st.lists(st.integers(-8, 8), min_size=3, max_size=3))
 def test_dominant_conjugate_is_the_first_dominant_image(preset, subset,
                                                         entries):
     datum = datum_or_levi(preset, subset)
@@ -185,11 +183,6 @@ def _combination(datum, coords):
                  for k in range(datum.weight_dim))
 
 
-def _lattice_form(vector):
-    """Fractions with denominator 1 as ints, so the integer path is taken."""
-    return tuple(int(x) if x.denominator == 1 else x for x in vector)
-
-
 @pytest.mark.parametrize("preset", sorted(EXPECTED))
 @settings(max_examples=40)
 @given(coords=st.lists(st.integers(-20, 20), min_size=3, max_size=3),
@@ -201,20 +194,40 @@ def test_root_coordinates_round_trip(preset, coords, denom, k):
     vector = _combination(datum, coords)
     assert datum.root_coordinates(vector) == coords
     assert datum.height(vector) == sum(coords)
-    # a non-integral coefficient leaves the root lattice, whether or not
-    # the vector's own entries are integers
+    # a non-integral coefficient leaves the root lattice: an int vector
+    # is off it, and one with another entry is no weight
     off = tuple(Fraction(c) for c in coords)
     off = off[:k] + (off[k] + Fraction(1, denom),) + off[k + 1:]
-    assert datum.root_coordinates(_lattice_form(_combination(datum, off))) is None
+    off = _combination(datum, off)
+    if all(x.denominator == 1 for x in off):
+        assert datum.root_coordinates(tuple(map(int, off))) is None
+    else:
+        with pytest.raises(DomainError):
+            datum.root_coordinates(off)
     half = (vector[0] + Fraction(1, 2),) + vector[1:]
-    assert datum.root_coordinates(half) is None
+    with pytest.raises(DomainError):
+        datum.root_coordinates(half)
     # one Levi per preset: the first simple root
     levi = datum.levi((0,))
     inside = (coords[0],) + (0,) * (datum.rank - 1)
     assert levi.root_coordinates(_combination(datum, inside)) == coords[:1]
     if datum.rank > 1 and any(coords[1:]):
         assert levi.root_coordinates(vector) is None
-    assert levi.root_coordinates(half) is None
+    with pytest.raises(DomainError):
+        levi.root_coordinates(half)
+
+
+@pytest.mark.parametrize("vector", [(1.5, 0), (True, 1), 5, None],
+                         ids=["float", "bool", "int", "None"])
+@pytest.mark.parametrize("levi", [False, True], ids=["preset", "levi"])
+def test_root_coordinates_and_height_take_int_weights_only(a2, levi, vector):
+    """A float or a bool entry, and a vector that is no sequence, are
+    DomainErrors, never an AttributeError, a TypeError or a bool read as
+    its int."""
+    datum = a2.levi((0,)) if levi else a2
+    for call in (datum.root_coordinates, datum.height):
+        with pytest.raises(DomainError):
+            call(vector)
 
 
 @pytest.mark.parametrize("preset,coords", [
@@ -248,8 +261,8 @@ def test_integer_rho_shift_matches_fraction_dot_action(preset, lam, mu):
     datum = build_datum(preset)
     lam = tuple(lam[:datum.weight_dim])
     mu = tuple(mu[:datum.weight_dim])
-    lam_rho = tuple(Fraction(a) + r for a, r in zip(lam, datum.rho))
-    mu_rho = tuple(Fraction(a) + r for a, r in zip(mu, datum.rho))
+    lam_rho = tuple(a + r for a, r in zip(lam, rho(datum)))
+    mu_rho = tuple(a + r for a, r in zip(mu, rho(datum)))
     for w in datum.weyl_elements():
         shifted = tuple(a - b + s
                         for a, b, s in zip(w.apply(lam), mu, w.rho_shift))
@@ -274,16 +287,15 @@ def test_inner_product_with_root_vector_is_int(preset):
             # B(gamma, gamma) = 2 d_gamma
             assert d.inner_product_with_root_vector(
                 root.weight, root.root_coords) == 2 * root.length_sq_half
-            assert d.pair(root.weight, root.coroot) == 2
+            assert _dot(root.weight, root.coroot) == 2
 
 
-# each of these truncated to the shorter vector on A2-sc: True, 2, (-1,),
-# 3 and (-1, 1)
+# each of these truncated to the shorter vector on A2-sc: True, 2, (-1,)
+# and (-1, 1); test_small_vector_kernels_match_their_references covers _dot
 TRUNCATED = {
     "is_dominant": lambda d: d.is_dominant((1,)),
     "pair_2rho_check": lambda d: d.pair_2rho_check((1,)),
     "reflect": lambda d: d.reflect((1,), 0),
-    "pair": lambda d: d.pair((1, 2, 3), (1, 1)),
     "apply": lambda d: d.weyl_elements()[1].apply((1,)),
 }
 
